@@ -1,13 +1,10 @@
 #include "check/typecheck.hpp"
 
-#include "check/context.hpp"
-
 #include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <map>
 #include <sstream>
-#include <unordered_map>
 
 namespace svlc::check {
 
@@ -81,13 +78,6 @@ private:
     CheckResult result_;
     /// Per-(net, kind) obligation ordinals, for stable ids.
     std::map<std::pair<NetId, ObligationKind>, size_t> site_counters_;
-    /// Canonical contexts memoized by the raw constraint key. Structurally
-    /// repeated obligations (unrolled arrays, symmetric instances) share
-    /// one slice walk and one serialization instead of paying the full
-    /// closure per site.
-    std::unordered_map<std::string, ObligationContext> ctx_memo_;
-    /// Per-net serialized sections shared by every context build.
-    ContextCache ctx_cache_;
 };
 
 bool Checker::uses_next(const Expr& e) const {
@@ -164,48 +154,17 @@ void Checker::discharge(ObligationKind kind, SourceLoc loc, NetId target,
     ob.id = next_obligation_id(kind, target);
     ob.lhs_label = lhs.str(design_);
     ob.rhs_label = rhs.str(design_);
-    // Obligation-level incrementality: offer the oracle the canonical
-    // context first; the engine only runs on a replay miss. Either way the
-    // result lands in ob.result and the diagnostics below are rendered
-    // from it identically, which is what keeps replayed reports
-    // byte-identical to solved ones.
-    const ObligationContext* ctx = nullptr;
-    if (opts_.oracle) {
-        std::string key = obligation_context_key(lhs, rhs, facts);
-        auto it = ctx_memo_.find(key);
-        if (it == ctx_memo_.end())
-            it = ctx_memo_
-                     .emplace(std::move(key),
-                              obligation_context(design_, eqs_, lhs, rhs,
-                                                 facts, &ctx_cache_))
-                     .first;
-        ctx = &it->second;
-        solver::EntailResult replayed;
-        if (opts_.oracle->replay(*ctx, replayed)) {
-            ob.result = std::move(replayed);
-            ob.replayed = true;
-            ++result_.obligations_replayed;
-        }
-    }
-    if (!ob.replayed) {
-        auto t0 = std::chrono::steady_clock::now();
-        ob.result = engine_.check_flow(lhs, rhs, facts);
-        ob.solve_ms = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-        if (!ob.result.timed_out) {
-            ++result_.obligations_solved;
-            if (ctx)
-                opts_.oracle->record(*ctx, ob.result);
-        }
-    }
+    auto t0 = std::chrono::steady_clock::now();
+    ob.result = engine_.check_flow(lhs, rhs, facts);
+    ob.solve_ms = std::chrono::duration<double, std::milli>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
     if (ob.result.timed_out) {
         // Deadline expired mid-check: drop this obligation (no diagnostic
         // — it was not decided) and stop discharging further ones.
         result_.timed_out = true;
         return;
     }
-    ob.diag_first = diags_.diagnostics().size();
     if (!ob.result.proven()) {
         ++result_.failed;
         const std::string& tname = design_.net(target).name;
@@ -240,7 +199,6 @@ void Checker::discharge(ObligationKind kind, SourceLoc loc, NetId target,
         if (ob.result.witness)
             note_witness(*ob.result.witness, loc);
     }
-    ob.diag_count = diags_.diagnostics().size() - ob.diag_first;
     result_.obligations.push_back(std::move(ob));
 }
 

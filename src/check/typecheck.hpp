@@ -36,37 +36,12 @@ namespace svlc::check {
 
 enum class CheckerMode { SecVerilogLC, ClassicSecVerilog };
 
-struct ObligationContext;
-
-/// Optional per-obligation verdict oracle (obligation-level
-/// incrementality, src/incr). When installed, the checker builds each
-/// obligation's canonical context (check/context.hpp) and offers the
-/// oracle a chance to replay a previously-solved verdict before calling
-/// the entailment engine; on a miss the solved result is handed back for
-/// recording. The oracle decides what is safe to persist (timed-out and
-/// Unknown results never are).
-class ObligationOracle {
-public:
-    virtual ~ObligationOracle() = default;
-    /// True when a stored verdict for this context was reconstructed into
-    /// `out` (the replay is then used verbatim instead of solving).
-    virtual bool replay(const ObligationContext& ctx,
-                        solver::EntailResult& out) = 0;
-    /// Offers a freshly-solved result for persistence.
-    virtual void record(const ObligationContext& ctx,
-                        const solver::EntailResult& result) = 0;
-};
-
 struct CheckOptions {
     CheckerMode mode = CheckerMode::SecVerilogLC;
     solver::EntailOptions solver;
     /// Emit hold obligations (LC mode only). Exposed for the ablation
     /// benchmark; turning this off re-introduces implicit downgrading.
     bool hold_obligations = true;
-    /// Per-obligation replay oracle; not owned, may be null. Not part of
-    /// the semantic configuration (check_options_fingerprint ignores it):
-    /// replayed and solved runs are byte-identical by construction.
-    ObligationOracle* oracle = nullptr;
 };
 
 enum class ObligationKind { CombAssign, SeqAssign, Hold };
@@ -90,14 +65,6 @@ struct Obligation {
     /// Wall time spent deciding this obligation, for per-obligation
     /// latency profiles (bench_solver).
     double solve_ms = 0;
-    /// The verdict came from CheckOptions::oracle, not the engine.
-    bool replayed = false;
-    /// Range [diag_first, diag_first + diag_count) of this obligation's
-    /// diagnostics in DiagnosticEngine::diagnostics() — the error plus
-    /// its witness notes; empty for proven obligations. Lets consumers
-    /// (svlc serve) attribute pushed diagnostics to obligations.
-    size_t diag_first = 0;
-    size_t diag_count = 0;
 };
 
 struct CheckResult {
@@ -110,10 +77,6 @@ struct CheckResult {
     /// remaining obligations were skipped and `ok` is false. The batch
     /// driver reports such a job as timed out rather than rejected.
     bool timed_out = false;
-    /// Obligation-level incrementality counters: verdicts replayed from
-    /// CheckOptions::oracle vs. decided by the entailment engine.
-    size_t obligations_replayed = 0;
-    size_t obligations_solved = 0;
 };
 
 /// Type-checks a well-formed design. Flow violations are reported through

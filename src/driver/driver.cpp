@@ -2,7 +2,6 @@
 
 #include "hunt/hunter.hpp"
 #include "incr/fingerprint.hpp"
-#include "incr/replay.hpp"
 #include "pipeline/compilation.hpp"
 #include "proc/sources.hpp"
 #include "support/fsutil.hpp"
@@ -39,6 +38,40 @@ double thread_cpu_ms() {
     return std::chrono::duration<double, std::milli>(
                Clock::now().time_since_epoch())
         .count();
+}
+
+/// Persists a deterministic (Secure/Rejected) verdict under `fp`.
+void store_job_verdict(incr::ArtifactStore& store, const std::string& fp,
+                       const JobResult& res) {
+    if (res.status != JobStatus::Secure && res.status != JobStatus::Rejected)
+        return;
+    incr::StoredVerdict v;
+    v.secure = res.status == JobStatus::Secure;
+    v.obligations = res.obligations;
+    v.failed = res.failed;
+    v.downgrades = res.downgrades;
+    v.diagnostics = res.diagnostics;
+    v.flagged = res.flagged;
+    store.store_verdict(fp, v);
+}
+
+/// The JobResult a fingerprint hit replays: exactly the verdict-set
+/// fields a fresh run reports (timings and solver stats zero).
+JobResult job_result_from_verdict(const std::string& name,
+                                  const std::string& fp,
+                                  incr::StoredVerdict verdict) {
+    JobResult res;
+    res.name = name;
+    res.status = verdict.secure ? JobStatus::Secure : JobStatus::Rejected;
+    res.skipped = true;
+    res.fingerprint = fp;
+    res.attempts = 0;
+    res.obligations = verdict.obligations;
+    res.failed = verdict.failed;
+    res.downgrades = verdict.downgrades;
+    res.flagged = std::move(verdict.flagged);
+    res.diagnostics = std::move(verdict.diagnostics);
+    return res;
 }
 
 } // namespace
@@ -89,32 +122,25 @@ JobResult verify_text(pipeline::Compilation& comp, const JobSpec& spec,
         res.status = status;
         res.wall_ms = ms_since(start);
         res.cpu_ms = thread_cpu_ms() - cpu_start;
+        if (store) {
+            res.fingerprint = incr::job_fingerprint(
+                spec.name, text, spec.top, comp.options().check);
+            store_job_verdict(*store, res.fingerprint, res);
+        }
         return res;
     };
 
     comp.options().top = spec.top;
     comp.options().check.solver.deadline = deadline;
     comp.options().check.solver.cache = cache;
-    comp.options().check.oracle = nullptr;
     comp.reload_text(text, spec.name);
     if (!comp.elaborate()) {
         res.diagnostics = comp.render_diagnostics();
         return finish(JobStatus::Rejected);
     }
-    // Obligation-granular replay: the oracle lives for exactly this check
-    // phase (it borrows the elaborated design), and the options pointer is
-    // cleared right after so a hot serve Compilation can never dangle.
-    std::optional<incr::ObligationReplayer> oracle;
-    if (store) {
-        oracle.emplace(*store, *comp.design(), comp.options().check);
-        comp.options().check.oracle = &*oracle;
-    }
     const check::CheckResult& cres = *comp.check();
-    comp.options().check.oracle = nullptr;
 
     res.obligations = cres.obligations.size();
-    res.obligations_replayed = cres.obligations_replayed;
-    res.obligations_solved = cres.obligations_solved;
     res.failed = cres.failed;
     res.downgrades = cres.downgrade_count;
     for (const check::Obligation& ob : cres.obligations)
@@ -160,41 +186,6 @@ JobResult hunt_text(const JobSpec& spec, const std::string& text) {
                       : JobStatus::Secure);
 }
 
-bool store_job_verdict(incr::ArtifactStore& store, const std::string& fp,
-                       const JobResult& res) {
-    if (fp.empty() || (res.status != JobStatus::Secure &&
-                       res.status != JobStatus::Rejected))
-        return false;
-    incr::StoredVerdict v;
-    v.secure = res.status == JobStatus::Secure;
-    v.obligations = res.obligations;
-    v.failed = res.failed;
-    v.downgrades = res.downgrades;
-    v.diagnostics = res.diagnostics;
-    v.flagged = res.flagged;
-    store.store_verdict(fp, v);
-    return true;
-}
-
-JobResult job_result_from_verdict(const std::string& name,
-                                  const std::string& fp,
-                                  incr::StoredVerdict verdict, bool skipped) {
-    JobResult res;
-    res.name = name;
-    res.status = verdict.secure ? JobStatus::Secure : JobStatus::Rejected;
-    res.skipped = skipped;
-    res.fingerprint = fp;
-    res.attempts = skipped ? 0 : 1;
-    res.obligations = verdict.obligations;
-    res.failed = verdict.failed;
-    res.downgrades = verdict.downgrades;
-    // A whole-job hit replays every proof without touching the pipeline.
-    res.obligations_replayed = verdict.obligations;
-    res.flagged = std::move(verdict.flagged);
-    res.diagnostics = std::move(verdict.diagnostics);
-    return res;
-}
-
 JobResult VerificationDriver::run_job_once(const JobSpec& spec,
                                            const std::string& text) {
     if (spec.hunt_depth > 0)
@@ -225,8 +216,7 @@ JobResult VerificationDriver::run_job(const JobSpec& spec) {
     if (store_ && spec.hunt_depth == 0) {
         fp = incr::job_fingerprint(spec.name, text, spec.top, opts_.check);
         if (auto hit = store_->load_verdict(fp))
-            return job_result_from_verdict(spec.name, fp, std::move(*hit),
-                                           /*skipped=*/true);
+            return job_result_from_verdict(spec.name, fp, std::move(*hit));
     }
 
     // Retry once on transient failure (allocation failure, filesystem
@@ -236,9 +226,6 @@ JobResult VerificationDriver::run_job(const JobSpec& spec) {
         try {
             JobResult res = run_job_once(spec, text);
             res.attempts = attempt;
-            res.fingerprint = fp;
-            if (store_)
-                store_job_verdict(*store_, fp, res);
             return res;
         } catch (const std::exception& e) {
             if (attempt >= 2) {
@@ -332,12 +319,6 @@ BatchReport VerificationDriver::run(const std::vector<JobSpec>& jobs) {
             now.verdict_misses - store_before.verdict_misses;
         report.store.verdict_stores =
             now.verdict_stores - store_before.verdict_stores;
-        report.store.obligation_hits =
-            now.obligation_hits - store_before.obligation_hits;
-        report.store.obligation_misses =
-            now.obligation_misses - store_before.obligation_misses;
-        report.store.obligation_stores =
-            now.obligation_stores - store_before.obligation_stores;
         report.store.entail_loaded = now.entail_loaded;
         report.store.entail_flushed = now.entail_flushed;
         report.store.entail_evicted = now.entail_evicted;

@@ -71,13 +71,6 @@ struct JobResult {
     /// Per-obligation records for every non-proven obligation (stable
     /// ids, verdicts, counterexample witnesses). Survives store replay.
     std::vector<pipeline::ObligationRecord> flagged;
-    /// Obligation-level incrementality counters: how many of this job's
-    /// obligations were replayed from per-obligation store records vs.
-    /// decided by the entailment engine. A whole-job fingerprint hit
-    /// counts every obligation as replayed. Telemetry (full-mode JSON
-    /// and --stats only); never part of the stable verdict set.
-    size_t obligations_replayed = 0;
-    size_t obligations_solved = 0;
     solver::EntailmentEngine::Stats solver;
     /// Rendered diagnostics (with source snippets), empty when clean.
     std::string diagnostics;
@@ -146,12 +139,11 @@ struct BatchReport {
 /// (may be null) into comp's options before reloading, so a serve
 /// session can call this repeatedly on one hot Compilation.
 ///
-/// When `store` is non-null, an incr::ObligationReplayer is installed for
-/// the check phase: obligations whose structural fingerprint has a stored
-/// record replay their verdict (and re-render diagnostics) instead of
-/// re-solving, and freshly solved verdicts are written through. The
-/// resulting report is byte-identical to a store-less run; only the
-/// obligations_replayed/obligations_solved telemetry differs.
+/// When `store` is non-null, a Secure or Rejected verdict is persisted
+/// under the job fingerprint (set in JobResult::fingerprint), so a later
+/// run with the same inputs — batch, watch, or serve — skips the job.
+/// Timeouts and errors are never stored: a timeout depends on the
+/// deadline and an error on transient conditions.
 JobResult verify_text(pipeline::Compilation& comp, const JobSpec& spec,
                       const std::string& text, uint64_t default_timeout_ms,
                       solver::EntailCache* cache,
@@ -161,26 +153,8 @@ JobResult verify_text(pipeline::Compilation& comp, const JobSpec& spec,
 /// the bounded symbolic leak hunter to spec.hunt_depth. A confirmed leak
 /// trace maps to Rejected, a bounded no-leak certificate (or a
 /// no-secrets design) to Secure; the rendered hunt report travels in
-/// JobResult::diagnostics. Shared by the batch driver and the
-/// distributed worker so both render hunt jobs identically.
+/// JobResult::diagnostics.
 JobResult hunt_text(const JobSpec& spec, const std::string& text);
-
-/// Persists a job's verdict under fingerprint `fp`. Only deterministic
-/// verdicts (Secure/Rejected) are stored — a timeout depends on the
-/// deadline and an error on transient conditions, so replaying either
-/// could mask a now-healthy run. Returns true when stored.
-bool store_job_verdict(incr::ArtifactStore& store, const std::string& fp,
-                       const JobResult& res);
-
-/// Materializes the JobResult a stored verdict replays: the exact
-/// verdict-set fields a fresh run would report (timings and solver
-/// stats zero, `skipped` set when the verdict came from a store rather
-/// than a fresh remote run). Shared by the batch driver's fingerprint
-/// gate and the distributed coordinator/worker (src/dist), so every
-/// replay path renders one job identically.
-JobResult job_result_from_verdict(const std::string& name,
-                                  const std::string& fp,
-                                  incr::StoredVerdict verdict, bool skipped);
 
 class VerificationDriver {
 public:

@@ -119,8 +119,6 @@ std::string BatchReport::to_json(bool full) const {
             if (!r.fingerprint.empty())
                 w.kv("fingerprint", r.fingerprint);
             w.kv("attempts", r.attempts);
-            w.kv("obligations_replayed", r.obligations_replayed);
-            w.kv("obligations_solved", r.obligations_solved);
             w.key("solver");
             put_solver_stats(w, r.solver);
             w.kv("wall_ms", r.wall_ms, 3);
@@ -138,13 +136,6 @@ std::string BatchReport::to_json(bool full) const {
     w.kv("timeout", count(JobStatus::Timeout));
     if (full) {
         w.kv("skipped", skipped_count());
-        size_t replayed = 0, solved = 0;
-        for (const auto& r : results) {
-            replayed += r.obligations_replayed;
-            solved += r.obligations_solved;
-        }
-        w.kv("obligations_replayed", replayed);
-        w.kv("obligations_solved", solved);
         w.key("solver");
         put_solver_stats(w, solver_totals());
     }
@@ -165,9 +156,6 @@ std::string BatchReport::to_json(bool full) const {
         w.kv("hits", store.verdict_hits);
         w.kv("misses", store.verdict_misses);
         w.kv("stores", store.verdict_stores);
-        w.kv("obligation_hits", store.obligation_hits);
-        w.kv("obligation_misses", store.obligation_misses);
-        w.kv("obligation_stores", store.obligation_stores);
         w.kv("entail_loaded", store.entail_loaded);
         w.kv("entail_flushed", store.entail_flushed);
         w.kv("entail_evicted", store.entail_evicted);

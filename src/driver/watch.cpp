@@ -150,16 +150,6 @@ int run_watch(const std::string& target, const WatchOptions& opts,
                 "ms (%zu from store)\n",
                 static_cast<unsigned long long>(iteration), dirty.size(),
                 jobs.size(), report.wall_ms, report.skipped_count());
-            size_t cycle_solved = 0, cycle_replayed = 0;
-            for (const auto& r : report.results) {
-                cycle_solved += r.obligations_solved;
-                cycle_replayed += r.obligations_replayed;
-            }
-            std::fprintf(out,
-                         "[watch #%llu] %zu obligation(s) re-solved, %zu "
-                         "replayed, %.1f ms\n",
-                         static_cast<unsigned long long>(iteration),
-                         cycle_solved, cycle_replayed, report.wall_ms);
             for (const auto& r : report.results) {
                 std::string verdict = job_status_name(r.status);
                 auto it = state.find(r.name);

@@ -1,7 +1,7 @@
 // Hunt workload generator: parameterized SoC-scale scenarios (mode-
 // gated multi-core rings, secret-holding cache arrays, the src/proc
 // evaluation cores) in matched planted-leak / leak-free pairs, so the
-// hunter, the batch driver, and the distributed fleet all get a corpus
+// hunter and the batch driver both get a corpus
 // far beyond the three hdl/ examples. Deterministic: the same
 // parameters always produce byte-identical sources.
 #pragma once
@@ -39,8 +39,7 @@ std::string cache_scenario_source(size_t words, bool planted);
 std::vector<Scenario> builtin_scenarios();
 
 /// Writes each scenario to `<dir>/<name>.svlc` plus `<dir>/manifest.txt`
-/// with `hunt=<depth>` job attributes, runnable by `svlc batch` and
-/// `svlc coordinator`.
+/// with `hunt=<depth>` job attributes, runnable by `svlc batch`.
 bool write_corpus(const std::string& dir,
                   const std::vector<Scenario>& scenarios, std::string& error);
 

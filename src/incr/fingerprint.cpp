@@ -42,15 +42,4 @@ std::string job_fingerprint(const std::string& name,
     return h.hex_digest();
 }
 
-std::string obligation_fingerprint(const std::string& context_bytes,
-                                   const check::CheckOptions& opts) {
-    Sha256 h;
-    h.update(kToolVersion);
-    h.update("\0", 1);
-    h.update(check_options_fingerprint(opts));
-    h.update("\0", 1);
-    h.update(context_bytes);
-    return h.hex_digest();
-}
-
 } // namespace svlc::incr

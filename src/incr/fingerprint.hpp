@@ -38,15 +38,4 @@ std::string job_fingerprint(const std::string& name,
                             const std::string& top,
                             const check::CheckOptions& opts);
 
-/// Structural per-obligation fingerprint: SHA-256 over the tool version,
-/// the checker options, and the obligation's canonical context bytes
-/// (check/context.hpp — lattice, labels, facts, dependency-slice
-/// declarations + equations, referenced function tables). Unlike
-/// job_fingerprint it hashes *structure*, not source bytes: whitespace,
-/// comments, names, and edits outside the dependency slice do not move
-/// it. The job name deliberately does not participate — diagnostics are
-/// re-rendered on replay, so the name is render-only at this granularity.
-std::string obligation_fingerprint(const std::string& context_bytes,
-                                   const check::CheckOptions& opts);
-
 } // namespace svlc::incr

@@ -3,11 +3,9 @@
 #include "support/fsutil.hpp"
 #include "support/hash.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <map>
 #include <unordered_set>
 #include <vector>
 
@@ -77,39 +75,12 @@ struct Cursor {
     }
 };
 
-/// Validation outcome of one store file, separated from the discard
-/// decision: the owning store deletes its own corrupt files, but a merge
-/// must never delete a *peer's* files.
-enum class PayloadState { Missing, Corrupt, Ok };
-
-PayloadState read_payload_raw(const std::string& path, const char* kind,
-                              std::string& out) {
-    std::string content;
-    if (!read_file(path, content))
-        return PayloadState::Missing;
-    std::string header = header_for(kind);
-    if (content.size() < header.size() + kTrailerLen ||
-        content.compare(0, header.size(), header) != 0)
-        return PayloadState::Corrupt;
-    std::string body = content.substr(0, content.size() - kTrailerLen);
-    if (content.substr(content.size() - kTrailerLen) != trailer_for(body))
-        return PayloadState::Corrupt;
-    out = body.substr(header.size());
-    return PayloadState::Ok;
-}
-
 } // namespace
 
 ArtifactStore::ArtifactStore(StoreOptions opts) : opts_(std::move(opts)) {}
 
 std::string ArtifactStore::verdict_path(const std::string& fp) const {
     return (fs::path(opts_.dir) / "v2" / "verdicts" / fp.substr(0, 2) / fp)
-        .string();
-}
-
-std::string ArtifactStore::obligation_path(const std::string& fp) const {
-    return (fs::path(opts_.dir) / "v2" / "obligations" / fp.substr(0, 2) /
-            fp)
         .string();
 }
 
@@ -122,15 +93,18 @@ bool ArtifactStore::open(std::string& error) {
     fs::path format = v2 / "FORMAT";
     std::error_code ec;
 
-    // A retired `v1/` generation (the pre-obligation schema) is discarded
-    // wholesale the moment its directory marker is seen: one rm, one
-    // counter tick, and the store rebuilds under v2/ — never a walk that
-    // surfaces thousands of entries as individual misses, and never a
-    // read through the old framing.
-    fs::path v1 = fs::path(opts_.dir) / "v1";
-    if (fs::is_directory(v1, ec)) {
-        fs::remove_all(v1, ec);
-        legacy_discarded_.fetch_add(1, std::memory_order_relaxed);
+    // Retired trees — the `v1/` generation and the per-obligation records
+    // older builds kept under `v2/obligations/` — are discarded wholesale
+    // the moment their directory is seen: one rm, one counter tick, never
+    // a walk that surfaces thousands of entries as individual misses, and
+    // never a read through the old framing. Job records and entail.cache
+    // are unchanged, so the rest of v2/ stays valid.
+    for (const fs::path& retired :
+         {fs::path(opts_.dir) / "v1", v2 / "obligations"}) {
+        if (fs::is_directory(retired, ec)) {
+            fs::remove_all(retired, ec);
+            legacy_discarded_.fetch_add(1, std::memory_order_relaxed);
+        }
     }
 
     std::string marker;
@@ -148,11 +122,6 @@ bool ArtifactStore::open(std::string& error) {
         error = "cannot create store '" + v2.string() + "': " + ec.message();
         return false;
     }
-    fs::create_directories(v2 / "obligations", ec);
-    if (ec) {
-        error = "cannot create store '" + v2.string() + "': " + ec.message();
-        return false;
-    }
     if (!fs::exists(format, ec) &&
         !write_file_atomic(format.string(),
                            std::string(kStoreFormat) + "\n", &error))
@@ -162,13 +131,21 @@ bool ArtifactStore::open(std::string& error) {
 
 std::optional<std::string> ArtifactStore::read_payload(const std::string& path,
                                                        const char* kind) {
-    std::string payload;
-    switch (read_payload_raw(path, kind, payload)) {
-    case PayloadState::Missing: return std::nullopt;
-    case PayloadState::Corrupt: discard(path); return std::nullopt;
-    case PayloadState::Ok: return payload;
+    std::string content;
+    if (!read_file(path, content))
+        return std::nullopt;
+    std::string header = header_for(kind);
+    if (content.size() < header.size() + kTrailerLen ||
+        content.compare(0, header.size(), header) != 0) {
+        discard(path);
+        return std::nullopt;
     }
-    return std::nullopt;
+    std::string body = content.substr(0, content.size() - kTrailerLen);
+    if (content.substr(content.size() - kTrailerLen) != trailer_for(body)) {
+        discard(path);
+        return std::nullopt;
+    }
+    return body.substr(header.size());
 }
 
 bool ArtifactStore::write_payload(const std::string& path, const char* kind,
@@ -293,112 +270,6 @@ bool ArtifactStore::store_verdict(const std::string& fp,
     return true;
 }
 
-bool ArtifactStore::has_verdict(const std::string& fp) const {
-    std::error_code ec;
-    return fs::exists(verdict_path(fp), ec);
-}
-
-namespace {
-
-/// Shared directory walk for the two sharded fingerprint tables.
-std::vector<std::string> list_sharded(const fs::path& table) {
-    std::vector<std::string> fps;
-    std::error_code ec;
-    if (!fs::exists(table, ec))
-        return fps;
-    for (const auto& shard : fs::directory_iterator(table, ec)) {
-        if (!shard.is_directory())
-            continue;
-        for (const auto& entry : fs::directory_iterator(shard.path(), ec))
-            if (entry.is_regular_file())
-                fps.push_back(entry.path().filename().string());
-    }
-    std::sort(fps.begin(), fps.end());
-    return fps;
-}
-
-} // namespace
-
-std::vector<std::string> ArtifactStore::list_verdicts() const {
-    return list_sharded(fs::path(opts_.dir) / "v2" / "verdicts");
-}
-
-std::string encode_stored_obligation(const StoredObligation& o) {
-    std::string payload;
-    payload += o.proven ? "status proven\n" : "status refuted\n";
-    payload += "lhs " + std::to_string(o.lhs_level) + '\n';
-    payload += "rhs " + std::to_string(o.rhs_level) + '\n';
-    payload += "wit " + std::to_string(o.witness.size()) + '\n';
-    for (const auto& b : o.witness) {
-        payload += "var " + std::to_string(b.var) + '\n';
-        payload += b.primed ? "primed 1\n" : "primed 0\n";
-        payload += "value " + std::to_string(b.value) + '\n';
-    }
-    return payload;
-}
-
-bool decode_stored_obligation(const std::string& payload,
-                              StoredObligation& out) {
-    Cursor c{payload};
-    StoredObligation o;
-    std::string status = c.line();
-    if (status == "status proven")
-        o.proven = true;
-    else if (status != "status refuted")
-        c.ok = false;
-    o.lhs_level = static_cast<uint32_t>(c.tagged_uint("lhs"));
-    o.rhs_level = static_cast<uint32_t>(c.tagged_uint("rhs"));
-    uint64_t nwit = c.tagged_uint("wit");
-    for (uint64_t i = 0; c.ok && i < nwit; ++i) {
-        StoredObligation::Binding b;
-        b.var = static_cast<uint32_t>(c.tagged_uint("var"));
-        b.primed = c.tagged_uint("primed") != 0;
-        b.value = c.tagged_uint("value");
-        o.witness.push_back(b);
-    }
-    if (!c.ok || c.pos != payload.size())
-        return false;
-    out = std::move(o);
-    return true;
-}
-
-std::optional<StoredObligation>
-ArtifactStore::load_obligation(const std::string& fp) {
-    auto payload = read_payload(obligation_path(fp), "obligation");
-    if (!payload) {
-        obligation_misses_.fetch_add(1, std::memory_order_relaxed);
-        return std::nullopt;
-    }
-    StoredObligation o;
-    if (!decode_stored_obligation(*payload, o)) {
-        discard(obligation_path(fp));
-        obligation_misses_.fetch_add(1, std::memory_order_relaxed);
-        return std::nullopt;
-    }
-    obligation_hits_.fetch_add(1, std::memory_order_relaxed);
-    return o;
-}
-
-bool ArtifactStore::store_obligation(const std::string& fp,
-                                     const StoredObligation& o) {
-    std::string path = obligation_path(fp);
-    std::error_code ec;
-    fs::create_directories(fs::path(path).parent_path(), ec);
-    if (!write_payload(path, "obligation", encode_stored_obligation(o)))
-        return false;
-    obligation_stores_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-}
-
-bool ArtifactStore::has_obligation(const std::string& fp) const {
-    std::error_code ec;
-    return fs::exists(obligation_path(fp), ec);
-}
-
-std::vector<std::string> ArtifactStore::list_obligations() const {
-    return list_sharded(fs::path(opts_.dir) / "v2" / "obligations");
-}
-
 namespace {
 
 using EntailEntries =
@@ -496,126 +367,11 @@ size_t ArtifactStore::flush_entail(const solver::EntailCache& cache) {
     return merged.size();
 }
 
-std::optional<MergeStats>
-ArtifactStore::merge_from(const std::string& peer_dir, std::string& error) {
-    MergeStats ms;
-    std::error_code ec;
-    fs::path peer_v2 = fs::path(peer_dir) / "v2";
-    if (!fs::is_directory(peer_v2, ec)) {
-        error = "peer store '" + peer_dir + "' has no v2/ directory";
-        return std::nullopt;
-    }
-    // A peer on a different (or mangled) store generation contributes
-    // nothing — its encodings are not trusted — but does not fail the
-    // merge: one bad fleet member must not lose everyone else's work.
-    std::string marker;
-    if (!read_file((peer_v2 / "FORMAT").string(), marker) ||
-        marker != std::string(kStoreFormat) + "\n") {
-        ++ms.corrupt_skipped;
-        return ms;
-    }
-
-    // Verdicts: content-addressed by fingerprint, so "already present"
-    // is exactly filename equality. New entries are validated (header,
-    // checksum, full decode) and re-encoded canonically, so a merged
-    // store's files are byte-identical to locally written ones.
-    fs::path peer_verdicts = peer_v2 / "verdicts";
-    for (const std::string& fp : list_sharded(peer_verdicts)) {
-        if (has_verdict(fp)) {
-            ++ms.verdicts_present;
-            continue;
-        }
-        std::string payload;
-        fs::path src = peer_verdicts / fp.substr(0, 2) / fp;
-        StoredVerdict v;
-        if (read_payload_raw(src.string(), "verdict", payload) !=
-                PayloadState::Ok ||
-            !decode_stored_verdict(payload, v)) {
-            ++ms.corrupt_skipped;
-            continue;
-        }
-        if (store_verdict(fp, v))
-            ++ms.verdicts_added;
-    }
-
-    // Obligation records: same content-addressed dedup as verdicts.
-    fs::path peer_obligations = peer_v2 / "obligations";
-    for (const std::string& fp : list_sharded(peer_obligations)) {
-        if (has_obligation(fp)) {
-            ++ms.obligations_present;
-            continue;
-        }
-        std::string payload;
-        fs::path src = peer_obligations / fp.substr(0, 2) / fp;
-        StoredObligation o;
-        if (read_payload_raw(src.string(), "obligation", payload) !=
-                PayloadState::Ok ||
-            !decode_stored_obligation(payload, o)) {
-            ++ms.corrupt_skipped;
-            continue;
-        }
-        if (store_obligation(fp, o))
-            ++ms.obligations_added;
-    }
-
-    // Entailment entries: a commutative merge — union of keys, smaller
-    // candidate count wins a (should-never-differ) collision — then
-    // canonical key order. Age order is meaningless across a fleet, and
-    // normalizing makes merge(A,B) and merge(B,A) byte-identical; the
-    // budget then drops deterministically from the front.
-    std::map<std::string, solver::EntailCache::ProvenEntry> merged;
-    EntailEntries local;
-    if (auto payload = read_payload(entail_path(), "entail")) {
-        if (!parse_entail(*payload, local)) {
-            local.clear();
-            discard(entail_path());
-        }
-    }
-    for (auto& [key, entry] : local)
-        merged.emplace(std::move(key), entry);
-    std::string peer_payload;
-    PayloadState st = read_payload_raw((peer_v2 / "entail.cache").string(),
-                                       "entail", peer_payload);
-    EntailEntries peer_entries;
-    if (st == PayloadState::Corrupt ||
-        (st == PayloadState::Ok &&
-         !parse_entail(peer_payload, peer_entries))) {
-        ++ms.corrupt_skipped;
-        peer_entries.clear();
-    }
-    for (auto& [key, entry] : peer_entries) {
-        auto [it, inserted] = merged.emplace(std::move(key), entry);
-        if (inserted) {
-            ++ms.entail_added;
-        } else {
-            ++ms.entail_present;
-            if (entry.candidates < it->second.candidates)
-                it->second = entry;
-        }
-    }
-    EntailEntries out(merged.begin(), merged.end());
-    if (out.size() > opts_.entail_budget) {
-        size_t drop = out.size() - opts_.entail_budget;
-        out.erase(out.begin(), out.begin() + static_cast<ptrdiff_t>(drop));
-        ms.entail_evicted += drop;
-        entail_evicted_.fetch_add(drop, std::memory_order_relaxed);
-    }
-    if (!local.empty() || !out.empty())
-        if (write_payload(entail_path(), "entail", serialize_entail(out)))
-            entail_flushed_.store(out.size(), std::memory_order_relaxed);
-    return ms;
-}
-
 ArtifactStore::Stats ArtifactStore::stats() const {
     Stats s;
     s.verdict_hits = verdict_hits_.load(std::memory_order_relaxed);
     s.verdict_misses = verdict_misses_.load(std::memory_order_relaxed);
     s.verdict_stores = verdict_stores_.load(std::memory_order_relaxed);
-    s.obligation_hits = obligation_hits_.load(std::memory_order_relaxed);
-    s.obligation_misses =
-        obligation_misses_.load(std::memory_order_relaxed);
-    s.obligation_stores =
-        obligation_stores_.load(std::memory_order_relaxed);
     s.entail_loaded = entail_loaded_.load(std::memory_order_relaxed);
     s.entail_flushed = entail_flushed_.load(std::memory_order_relaxed);
     s.entail_evicted = entail_evicted_.load(std::memory_order_relaxed);

@@ -5,12 +5,12 @@
 //   (a) per-job verification verdicts, keyed by the job fingerprint
 //       (incr/fingerprint.hpp), so an unchanged job is answered without
 //       parsing a single byte of its source;
-//   (b) per-obligation verdict records, keyed by the structural
-//       obligation fingerprint, so an *edited* job replays every proof
-//       whose dependency slice the edit did not touch (the v2 addition);
-//   (c) the memoizing entailment cache (Proven entries only, the
+//   (b) the memoizing entailment cache (Proven entries only, the
 //       existing canonical full-text keys), loaded at batch start and
 //       merged/compacted at batch end.
+//
+// An edited job is re-verified in full; the entailment cache (b) still
+// answers its unchanged Proven queries.
 //
 // Layout under the store root (all children of a `v2/` directory so a
 // future format can live alongside without a migration):
@@ -18,13 +18,12 @@
 //   <root>/v2/FORMAT               "svlc-store/v2\n" (sanity marker)
 //   <root>/v2/verdicts/ab/<fp>     one job record per job fingerprint,
 //                                  sharded by the first two hex chars
-//   <root>/v2/obligations/ab/<fp>  one obligation record per obligation
-//                                  fingerprint, same sharding
 //   <root>/v2/entail.cache         serialized Proven entries, oldest first
 //
-// A legacy `<root>/v1/` tree (the pre-obligation schema) is detected by
-// its directory marker and discarded wholesale on open() — rebuilt, never
-// misread, and never walked entry by entry as misses.
+// Retired trees are detected by their directory and discarded wholesale
+// on open() — rebuilt, never misread, and never walked entry by entry as
+// misses: a legacy `<root>/v1/` generation, and the `<root>/v2/obligations/`
+// per-obligation records older builds wrote.
 //
 // Every file starts with a `svlc-store/v2 <kind>` header and ends with
 // an FNV-1a 64 checksum over the preceding bytes. Readers that see a
@@ -35,9 +34,8 @@
 // temp-file + atomic rename (support/fsutil.hpp), so a crash mid-flush
 // leaves the previous generation intact.
 //
-// Thread safety: verdict/obligation loads/stores may be called
-// concurrently from driver workers (distinct files; the shared counters
-// are atomics). load_entail/flush_entail are batch-scoped and must be
+// Thread safety: verdict loads/stores may be called concurrently from
+// driver workers (distinct files; the shared counters are atomics). load_entail/flush_entail are batch-scoped and must be
 // called from one thread at a time.
 #pragma once
 
@@ -81,54 +79,11 @@ struct StoreOptions {
 
 /// Canonical byte serialization of a StoredVerdict — the payload of a
 /// verdict file (store header/checksum excluded). Deterministic: equal
-/// verdicts encode to equal bytes, which is what lets merged stores and
-/// the distributed wire protocol (src/dist) ship verdicts verbatim and
-/// still end up byte-identical on every replica.
+/// verdicts encode to equal bytes.
 std::string encode_stored_verdict(const StoredVerdict& v);
 /// Inverse of encode_stored_verdict. False on any malformation (fails
 /// closed, like every other store reader).
 bool decode_stored_verdict(const std::string& payload, StoredVerdict& out);
-
-/// One persisted obligation verdict, keyed by the structural obligation
-/// fingerprint (incr/fingerprint.hpp). Only decided, deadline-free
-/// results are stored: `proven` picks Proven vs Refuted; Unknown and
-/// timed-out results always re-solve. The witness refers to variables by
-/// canonical slice index (check::ObligationContext::nets), never by name
-/// or NetId, so a replay rebinds it to the current design and re-renders
-/// the counterexample text byte-identically — even across net renames.
-struct StoredObligation {
-    bool proven = false;
-    /// Refutation payload (ignored when proven).
-    uint32_t lhs_level = 0;
-    uint32_t rhs_level = 0;
-    struct Binding {
-        uint32_t var = 0; ///< canonical index into the dependency slice
-        bool primed = false;
-        uint64_t value = 0;
-    };
-    std::vector<Binding> witness;
-};
-
-/// Canonical byte serialization / parse of a StoredObligation, with the
-/// same determinism contract as the verdict codec (dist ships these
-/// verbatim over the v2 sync protocol).
-std::string encode_stored_obligation(const StoredObligation& o);
-bool decode_stored_obligation(const std::string& payload,
-                              StoredObligation& out);
-
-/// Outcome counters of one ArtifactStore::merge_from call.
-struct MergeStats {
-    uint64_t verdicts_added = 0;
-    uint64_t verdicts_present = 0; ///< identical fingerprint already local
-    uint64_t obligations_added = 0;
-    uint64_t obligations_present = 0;
-    uint64_t entail_added = 0;
-    uint64_t entail_present = 0;
-    /// Peer files/entries that failed validation — skipped, never fatal,
-    /// and never deleted (the peer store is read-only input).
-    uint64_t corrupt_skipped = 0;
-    uint64_t entail_evicted = 0; ///< dropped to respect entail_budget
-};
 
 class ArtifactStore {
 public:
@@ -136,15 +91,13 @@ public:
         uint64_t verdict_hits = 0;
         uint64_t verdict_misses = 0;
         uint64_t verdict_stores = 0;
-        uint64_t obligation_hits = 0;
-        uint64_t obligation_misses = 0;
-        uint64_t obligation_stores = 0;
         uint64_t entail_loaded = 0;
         uint64_t entail_flushed = 0;
         uint64_t entail_evicted = 0;
         /// Corrupt or version-mismatched files discarded (and deleted).
         uint64_t corrupt_discarded = 0;
-        /// A whole legacy (`svlc-store/v1`) tree discarded on open().
+        /// Whole retired trees (`v1/`, `v2/obligations/`) discarded on
+        /// open().
         uint64_t legacy_discarded = 0;
     };
 
@@ -158,37 +111,6 @@ public:
     /// nullopt on miss *or* on a corrupt record (which is deleted).
     std::optional<StoredVerdict> load_verdict(const std::string& fp);
     bool store_verdict(const std::string& fp, const StoredVerdict& v);
-
-    /// True when a verdict file exists for `fp` (existence only — a
-    /// corrupt file still surfaces as a miss on load). Used by the
-    /// distributed delta-sync to answer "which of these fingerprints do
-    /// you lack?" without reading any payload.
-    [[nodiscard]] bool has_verdict(const std::string& fp) const;
-    /// Every fingerprint with a verdict file, sorted (deterministic).
-    [[nodiscard]] std::vector<std::string> list_verdicts() const;
-
-    /// Per-obligation records, same contracts as the verdict family:
-    /// load fails closed (corrupt file deleted, surfaced as a miss),
-    /// store is atomic, has/list are existence-only.
-    std::optional<StoredObligation>
-    load_obligation(const std::string& fp);
-    bool store_obligation(const std::string& fp, const StoredObligation& o);
-    [[nodiscard]] bool has_obligation(const std::string& fp) const;
-    [[nodiscard]] std::vector<std::string> list_obligations() const;
-
-    /// Merges another store's job verdicts, obligation records, and
-    /// Proven entailments into this one. The peer (rooted at `peer_dir`,
-    /// same layout) is read-only:
-    /// corrupt peer entries are counted in MergeStats::corrupt_skipped
-    /// and skipped, never deleted, never fatal. Verdicts are content-
-    /// addressed, so an identical fingerprint dedups; differing entail
-    /// candidates under one key keep the smaller count. The merged
-    /// entail.cache is normalized to canonical key order before the
-    /// budget is applied, so the merged store is byte-identical no
-    /// matter which order peers are merged in. nullopt (with `error`)
-    /// only when the peer store root is missing or unreadable.
-    std::optional<MergeStats> merge_from(const std::string& peer_dir,
-                                         std::string& error);
 
     /// Inserts every persisted Proven entry into `cache`. Returns the
     /// number loaded; 0 (after discarding) when the file is corrupt.
@@ -204,7 +126,6 @@ public:
 
 private:
     std::string verdict_path(const std::string& fp) const;
-    std::string obligation_path(const std::string& fp) const;
     std::string entail_path() const;
     /// Reads a store file, validates header + checksum; empty optional →
     /// missing or discarded-as-corrupt (counted & deleted).
@@ -218,9 +139,6 @@ private:
     std::atomic<uint64_t> verdict_hits_{0};
     std::atomic<uint64_t> verdict_misses_{0};
     std::atomic<uint64_t> verdict_stores_{0};
-    std::atomic<uint64_t> obligation_hits_{0};
-    std::atomic<uint64_t> obligation_misses_{0};
-    std::atomic<uint64_t> obligation_stores_{0};
     std::atomic<uint64_t> entail_loaded_{0};
     std::atomic<uint64_t> entail_flushed_{0};
     std::atomic<uint64_t> entail_evicted_{0};

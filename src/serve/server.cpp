@@ -49,17 +49,10 @@ int64_t lsp_severity(Severity sev) {
 
 /// Converts collected diagnostics to an LSP-flavored array:
 /// 0-based positions (SourceLoc is 1-based), zero-width ranges, stable
-/// code strings. Location-less diagnostics anchor at 0:0. `skip` (when
-/// given) suppresses the diagnostics at the flagged indices — used to
-/// push only re-solved obligations' diagnostics on an incremental edit.
-JsonValue lsp_diagnostics(const DiagnosticEngine& diags,
-                          const std::vector<bool>* skip = nullptr) {
+/// code strings. Location-less diagnostics anchor at 0:0.
+JsonValue lsp_diagnostics(const DiagnosticEngine& diags) {
     JsonValue arr = JsonValue::array();
-    size_t index = 0;
     for (const Diagnostic& d : diags.diagnostics()) {
-        size_t i = index++;
-        if (skip && i < skip->size() && (*skip)[i])
-            continue;
         uint64_t line = d.loc.valid() ? d.loc.line - 1 : 0;
         uint64_t col = d.loc.valid() && d.loc.column ? d.loc.column - 1 : 0;
         JsonValue pos = JsonValue::object();
@@ -106,10 +99,6 @@ struct Outcome {
     uint64_t obligations = 0;
     uint64_t failed = 0;
     uint64_t downgrades = 0;
-    /// Obligation-level incrementality telemetry from the run that
-    /// produced this outcome (store replay vs. fresh solves).
-    uint64_t obligations_replayed = 0;
-    uint64_t obligations_solved = 0;
     JsonValue lsp; // array for publishDiagnostics
 };
 
@@ -399,12 +388,8 @@ bool Server::do_verify(const JsonValue& params, Conn& push_to,
 
     Session& session = obtain_session(key, name, top, copts);
     Outcome& out = session.outcome;
-    // An incremental edit of an already-verified session pushes only the
-    // diagnostics of re-solved obligations; a first verify pushes all.
-    bool had_outcome = out.valid;
     bool hit = out.valid && out.fingerprint == fp &&
                (out.status == "secure" || out.status == "rejected");
-    JsonValue push_lsp;
     if (!hit) {
         ++stats_.verifies;
         session.comp.options().check = copts;
@@ -412,6 +397,9 @@ bool Server::do_verify(const JsonValue& params, Conn& push_to,
         spec.name = name;
         spec.top = top;
         spec.timeout_ms = timeout_ms;
+        // With a store, verify_text persists the verdict under the same
+        // fingerprint a batch run computes, so a later cold
+        // `svlc batch --store` warm-skips jobs this daemon already decided.
         driver::JobResult res =
             driver::verify_text(session.comp, spec, source,
                                 opts_.default_timeout_ms, &cache_,
@@ -425,45 +413,24 @@ bool Server::do_verify(const JsonValue& params, Conn& push_to,
         out.obligations = res.obligations;
         out.failed = res.failed;
         out.downgrades = res.downgrades;
-        out.obligations_replayed = res.obligations_replayed;
-        out.obligations_solved = res.obligations_solved;
         out.lsp = lsp_diagnostics(session.comp.diags());
-        push_lsp = out.lsp;
         if (cres) {
             out.human = pipeline::check_human_summary(session.comp, *cres);
             out.report =
                 pipeline::check_report_json(session.comp, *cres, name);
             out.stats_line =
                 pipeline::solver_stats_line(cres->solver_stats);
-            if (had_outcome && res.obligations_replayed > 0) {
-                // didChange of a known buffer: drop replayed obligations'
-                // diagnostics from the push (the client already has them;
-                // the full array stays in the cached outcome for
-                // responses). Non-obligation diagnostics always push.
-                std::vector<bool> skip(
-                    session.comp.diags().diagnostics().size(), false);
-                for (const check::Obligation& ob : cres->obligations)
-                    if (ob.replayed)
-                        for (size_t i = 0; i < ob.diag_count; ++i)
-                            skip[ob.diag_first + i] = true;
-                push_lsp = lsp_diagnostics(session.comp.diags(), &skip);
-            }
         }
-        // Persist the verdict under the same fingerprint a batch run
-        // computes, so a later cold `svlc batch --store` warm-skips
-        // jobs this daemon already decided.
-        if (store_)
-            driver::store_job_verdict(*store_, fp, res);
     } else {
         ++stats_.session_hits;
         touch(session);
-        push_lsp = out.lsp;
     }
 
-    // Push diagnostics to the requester before the response, LSP-style.
+    // Push every diagnostic to the requester before the response,
+    // LSP-style: publishDiagnostics replaces the client's set for `name`.
     JsonValue diag_params = JsonValue::object();
     diag_params.set("name", JsonValue(name));
-    diag_params.set("diagnostics", push_lsp);
+    diag_params.set("diagnostics", out.lsp);
     std::string send_error;
     if (!net::write_frame(
             push_to.stream,
@@ -479,12 +446,6 @@ bool Server::do_verify(const JsonValue& params, Conn& push_to,
     result.set("obligations", JsonValue(out.obligations));
     result.set("failed", JsonValue(out.failed));
     result.set("downgrades", JsonValue(out.downgrades));
-    // Session hits replay every proof; fresh runs report the oracle's
-    // actual split.
-    result.set("obligations_replayed",
-               JsonValue(hit ? out.obligations : out.obligations_replayed));
-    result.set("obligations_solved",
-               JsonValue(hit ? uint64_t{0} : out.obligations_solved));
     result.set("human", JsonValue(out.human));
     result.set("diagnostics", JsonValue(out.diagnostics));
     result.set("report", JsonValue(out.report));

@@ -97,8 +97,8 @@ private:
 /// server owns it. False for dead sockets, missing paths, non-sockets.
 bool socket_alive(const std::string& path);
 
-/// Bounded reconnect policy for clients racing a server's startup (a CI
-/// worker launched alongside its coordinator, `svlc client --retry`).
+/// Bounded reconnect policy for clients racing a server's startup (a
+/// client launched alongside its daemon, `svlc client --retry`).
 struct RetryOptions {
     /// Re-attempts after the first failed connect; 0 = single try.
     int attempts = 0;

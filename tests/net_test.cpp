@@ -208,8 +208,8 @@ TEST(Sockets, ConnectWithRetryWaitsForLateServer) {
     std::string path = tmp_path("late");
     ::unlink(path.c_str());
 
-    // Server binds ~200 ms after the client starts dialing — the
-    // coordinator-races-its-workers startup order.
+    // Server binds ~200 ms after the client starts dialing — a client
+    // started alongside its daemon.
     std::thread server([&] {
         std::this_thread::sleep_for(std::chrono::milliseconds(200));
         std::string error;

@@ -1,51 +1,19 @@
 // svlc — the SecVerilogLC command-line driver.
 //
-//   svlc check <file.svlc> [--top M] [--classic] [--no-hold]
-//              [--solver enum|prune|cdcl] [--json out.json] [--stats]
-//              [--remote SOCKET] [--store DIR]
-//   svlc serve --socket PATH [--store DIR] [--max-sessions N]
-//              [--idle-timeout SEC] [--timeout-ms T]
-//              [--classic] [--no-hold] [--solver enum|prune|cdcl]
-//   svlc client --socket PATH [--retry N] [--backoff MS]
-//              <method> [params-json]
-//   svlc coordinator --socket PATH <manifest|dir|file.svlc|builtin:V>
-//              [--cpus] [--store DIR] [--json F] [--timeout-ms T]
-//              [--lease-ms T] [--backoff-ms T] [--classic] [--no-hold]
-//              [--solver enum|prune|cdcl]
-//   svlc worker --connect PATH [--store DIR] [--name S] [--retry N]
-//              [--backoff MS]
-//   svlc emit-verilog <file.svlc> [--top M] [--compat]
-//   svlc sim <file.svlc> [--top M] --cycles N [--set in=val]...
-//            [--vcd out.vcd] [--watch net]...
-//   svlc synth <file.svlc> [--top M] [--no-enable-ff] [--clock NS]
-//   svlc taint <file.svlc> [--top M] --cycles N [--set in=val]...
-//   svlc hunt <file.svlc> [--top M] [--depth N] [--observer L]
-//            [--beam N] [--branch K] [--seed S] [--no-minimize]
-//            [--json out.json]
-//   svlc hunt-corpus [--out DIR]
-//   svlc dump-cpu <labeled|baseline|vulnerable|quad> [outfile]
-//   svlc batch <manifest|dir|file.svlc|builtin:V> [--jobs N] [--json F]
-//              [--timeout-ms T] [--no-cache] [--warm] [--cpus]
-//              [--store DIR] [--no-store] [--solver enum|prune|cdcl]
-//   svlc watch <manifest|dir|file.svlc|builtin:V> [--store DIR]
-//              [--interval-ms T] [--iterations N] [--jobs N] [--cpus]
-//   svlc diff-backends <manifest|dir|file.svlc|builtin:V> [--jobs N]
-//              [--cpus] [--classic] [--no-hold]
+// The commands and their flags are listed in usage() below.
 //
 // Every checking command funnels through pipeline::Compilation — the CLI
-// owns flag parsing and rendering, never phase plumbing.
+// owns flag parsing and rendering, never phase plumbing. Flags are parsed
+// from one table (kOptions) that names the commands accepting each flag;
+// any other flag is a usage error.
 #include "check/typecheck.hpp"
 #include "codegen/verilog.hpp"
-#include "dist/coordinator.hpp"
-#include "dist/worker.hpp"
 #include "driver/driver.hpp"
 #include "driver/watch.hpp"
 #include "fuzz/reducer.hpp"
 #include "fuzz/runner.hpp"
 #include "hunt/corpus.hpp"
 #include "hunt/hunter.hpp"
-#include "incr/replay.hpp"
-#include "incr/store.hpp"
 #include "pipeline/compilation.hpp"
 #include "proc/assembler.hpp"
 #include "proc/isa.hpp"
@@ -62,8 +30,10 @@
 #include "synth/synthesize.hpp"
 #include "verify/taint.hpp"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -71,6 +41,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 using namespace svlc;
@@ -82,29 +53,23 @@ int usage() {
                  "usage:\n"
                  "  svlc check <file.svlc> [--top M] [--classic] [--no-hold]\n"
                  "             [--solver enum|prune|cdcl] [--json out.json] [--stats]\n"
-                 "             [--remote SOCKET] [--store DIR]\n"
+                 "             [--remote SOCKET] [--retry N] [--backoff MS]\n"
                  "  svlc serve --socket PATH [--store DIR] [--max-sessions N]\n"
                  "             [--idle-timeout SEC] [--timeout-ms T]\n"
                  "             [--classic] [--no-hold] [--solver enum|prune|cdcl]\n"
                  "  svlc client --socket PATH [--retry N] [--backoff MS]\n"
                  "             <method> [params-json]\n"
-                 "  svlc coordinator --socket PATH\n"
-                 "             <manifest|dir|file.svlc|builtin:V> [--cpus]\n"
-                 "             [--store DIR] [--json out.json] [--timeout-ms T]\n"
-                 "             [--lease-ms T] [--backoff-ms T] [--classic]\n"
-                 "             [--no-hold] [--solver enum|prune|cdcl]\n"
-                 "  svlc worker --connect PATH [--store DIR] [--name S]\n"
-                 "             [--retry N] [--backoff MS]\n"
                  "  svlc batch <manifest|dir|file.svlc|builtin:V> [--jobs N]\n"
                  "             [--json out.json] [--timeout-ms T] [--no-cache]\n"
                  "             [--warm] [--cpus] [--classic] [--no-hold]\n"
                  "             [--store DIR] [--no-store] [--solver enum|prune|cdcl]\n"
                  "  svlc watch <manifest|dir|file.svlc|builtin:V> [--store DIR]\n"
-                 "             [--interval-ms T] [--iterations N] [--jobs N]\n"
-                 "             [--cpus] [--classic] [--no-hold]\n"
-                 "             [--solver enum|prune|cdcl]\n"
+                 "             [--no-store] [--interval-ms T] [--iterations N]\n"
+                 "             [--jobs N] [--timeout-ms T] [--no-cache] [--cpus]\n"
+                 "             [--classic] [--no-hold] [--solver enum|prune|cdcl]\n"
                  "  svlc diff-backends <manifest|dir|file.svlc|builtin:V>\n"
-                 "             [--jobs N] [--cpus] [--classic] [--no-hold]\n"
+                 "             [--jobs N] [--timeout-ms T] [--cpus] [--classic]\n"
+                 "             [--no-hold]\n"
                  "  svlc emit-verilog <file.svlc> [--top M] [--compat]\n"
                  "  svlc sim <file.svlc> [--top M] --cycles N [--set in=val]...\n"
                  "           [--vcd out.vcd] [--watch net]...\n"
@@ -120,13 +85,14 @@ int usage() {
                  "  svlc fuzz [--seed N] [--count M] [--oracle all|LIST]\n"
                  "            [--corpus DIR] [--no-reduce] [--dump]\n"
                  "  svlc reduce <file.svlc> [--oracle NAME|diag:CODE]\n"
-                 "            [--out out.svlc]\n");
+                 "            [--out out.svlc] [--classic] [--no-hold]\n"
+                 "            [--solver enum|prune|cdcl]\n");
     return 2;
 }
 
 struct Args {
     std::string command;
-    std::string file;
+    std::string file; // input file, batch target, or dump-cpu variant
     std::string top;
     bool classic = false;
     bool no_hold = false;
@@ -137,41 +103,36 @@ struct Args {
     std::vector<std::pair<std::string, uint64_t>> sets;
     std::vector<std::string> watches;
     std::string vcd_path;
-    std::string extra; // dump-cpu variant / outfile
-    std::string outfile;
+    std::string outfile; // dump-cpu/asm outfile, reduce/hunt-corpus --out
     // check --stats
     bool stats = false;
-    // check/batch/watch entailment backend (empty = engine default)
+    // entailment backend (empty = engine default)
     std::string solver;
-    // batch
+    // batch / watch / diff-backends
     uint64_t jobs = 0;
     std::string json_path;
     uint64_t timeout_ms = 0;
     bool no_cache = false;
     bool warm = false;
     bool cpus = false;
-    // batch/watch persistent store
+    // batch/watch/serve persistent store
     std::string store_dir;
     bool no_store = false;
     // watch
     uint64_t interval_ms = 500;
     uint64_t iterations = 0;
-    // check --remote / serve / client / coordinator / worker
+    // check --remote / serve / client
     std::string socket_path;
     uint64_t max_sessions = 16;
     uint64_t idle_timeout_sec = 0;
     std::string client_method;
     std::string client_params = "{}";
-    // client / worker / check --remote reconnect policy
+    // client / check --remote reconnect policy
     uint64_t retry_attempts = 0;
     uint64_t retry_backoff_ms = 100;
-    // coordinator
-    uint64_t lease_ms = 120000;
-    uint64_t coord_backoff_ms = 250;
-    // worker
-    std::string worker_name;
+    // fuzz / hunt (each command has its own default seed)
+    std::optional<uint64_t> seed;
     // fuzz / reduce
-    uint64_t fuzz_seed = 1;
     uint64_t fuzz_count = 100;
     std::string oracle; // fuzz: oracle set; reduce: oracle or diag:CODE
     std::string corpus_dir = "fuzz-corpus";
@@ -182,428 +143,252 @@ struct Args {
     std::string observer;
     uint64_t hunt_beam = 8;
     uint64_t hunt_branch = 4;
-    uint64_t hunt_seed = 0x5eed;
     bool no_minimize = false;
-    // hunt-corpus
-    std::string corpus_out = "hunt-corpus";
 };
+
+/// The one number parser for every numeric option: a whole decimal, hex
+/// (0x), or octal (leading 0) literal, or an error naming the option.
+bool parse_uint(const char* what, const char* v, uint64_t& out) {
+    char* end = nullptr;
+    errno = 0;
+    unsigned long long n = std::strtoull(v, &end, 0);
+    if (!std::isdigit(static_cast<unsigned char>(*v)) || *end ||
+        errno == ERANGE) {
+        std::fprintf(stderr, "%s: bad value '%s'\n", what, v);
+        return false;
+    }
+    out = n;
+    return true;
+}
+
+using Apply = bool (*)(Args&, const char* flag, const char* value);
+
+template <bool Args::*M>
+bool set_flag(Args& a, const char*, const char*) {
+    a.*M = true;
+    return true;
+}
+template <std::string Args::*M>
+bool set_text(Args& a, const char*, const char* v) {
+    a.*M = v;
+    return true;
+}
+template <uint64_t Args::*M>
+bool set_uint(Args& a, const char* flag, const char* v) {
+    return parse_uint(flag, v, a.*M);
+}
+template <uint64_t Args::*M>
+bool set_positive(Args& a, const char* flag, const char* v) {
+    if (!parse_uint(flag, v, a.*M))
+        return false;
+    if (a.*M == 0) {
+        std::fprintf(stderr, "%s: must be positive\n", flag);
+        return false;
+    }
+    return true;
+}
+
+bool set_solver(Args& a, const char*, const char* v) {
+    if (!solver::parse_backend(v)) {
+        std::fprintf(stderr,
+                     "--solver: unknown backend '%s' (expected enum, "
+                     "prune, or cdcl)\n",
+                     v);
+        return false;
+    }
+    a.solver = v;
+    return true;
+}
+
+bool set_seed(Args& a, const char* flag, const char* v) {
+    uint64_t seed = 0;
+    if (!parse_uint(flag, v, seed))
+        return false;
+    a.seed = seed;
+    return true;
+}
+
+bool set_clock(Args& a, const char* flag, const char* v) {
+    char* end = nullptr;
+    a.clock = std::strtod(v, &end);
+    if (!*v || *end || !(a.clock > 0)) {
+        std::fprintf(stderr, "%s: bad value '%s'\n", flag, v);
+        return false;
+    }
+    return true;
+}
+
+bool add_set(Args& a, const char* flag, const char* v) {
+    std::string s = v;
+    size_t eq = s.find('=');
+    uint64_t value = 0;
+    if (eq == std::string::npos) {
+        std::fprintf(stderr, "%s: expected in=val, got '%s'\n", flag, v);
+        return false;
+    }
+    if (!parse_uint(flag, s.c_str() + eq + 1, value))
+        return false;
+    a.sets.emplace_back(s.substr(0, eq), value);
+    return true;
+}
+
+bool add_watch(Args& a, const char*, const char* v) {
+    a.watches.push_back(v);
+    return true;
+}
+
+/// Every option of every command, with the commands that accept it.
+/// `value` options consume the next argument.
+struct Option {
+    const char* flag;
+    bool value;
+    const char* commands; // space-separated
+    Apply apply;
+};
+
+constexpr const char* kCheckers = "check serve batch watch diff-backends reduce";
+
+const Option kOptions[] = {
+    {"--top", true, "check emit-verilog sim synth taint hunt",
+     set_text<&Args::top>},
+    {"--classic", false, kCheckers, set_flag<&Args::classic>},
+    {"--no-hold", false, kCheckers, set_flag<&Args::no_hold>},
+    {"--solver", true, "check serve batch watch reduce", set_solver},
+    {"--json", true, "check batch hunt", set_text<&Args::json_path>},
+    {"--stats", false, "check", set_flag<&Args::stats>},
+    {"--remote", true, "check", set_text<&Args::socket_path>},
+    {"--socket", true, "serve client", set_text<&Args::socket_path>},
+    {"--retry", true, "check client", set_uint<&Args::retry_attempts>},
+    {"--backoff", true, "check client", set_uint<&Args::retry_backoff_ms>},
+    {"--store", true, "serve batch watch", set_text<&Args::store_dir>},
+    {"--no-store", false, "batch watch", set_flag<&Args::no_store>},
+    {"--max-sessions", true, "serve", set_uint<&Args::max_sessions>},
+    {"--idle-timeout", true, "serve", set_uint<&Args::idle_timeout_sec>},
+    {"--timeout-ms", true, "serve batch watch diff-backends",
+     set_uint<&Args::timeout_ms>},
+    {"--jobs", true, "batch watch diff-backends", set_uint<&Args::jobs>},
+    {"--no-cache", false, "batch watch", set_flag<&Args::no_cache>},
+    {"--warm", false, "batch", set_flag<&Args::warm>},
+    {"--cpus", false, "batch watch diff-backends", set_flag<&Args::cpus>},
+    {"--interval-ms", true, "watch", set_uint<&Args::interval_ms>},
+    {"--iterations", true, "watch", set_uint<&Args::iterations>},
+    {"--compat", false, "emit-verilog", set_flag<&Args::compat>},
+    {"--no-enable-ff", false, "synth", set_flag<&Args::no_enable_ff>},
+    {"--clock", true, "synth", set_clock},
+    {"--cycles", true, "sim taint", set_uint<&Args::cycles>},
+    {"--set", true, "sim taint", add_set},
+    {"--vcd", true, "sim", set_text<&Args::vcd_path>},
+    {"--watch", true, "sim", add_watch},
+    {"--depth", true, "hunt", set_positive<&Args::hunt_depth>},
+    {"--observer", true, "hunt", set_text<&Args::observer>},
+    {"--beam", true, "hunt", set_positive<&Args::hunt_beam>},
+    {"--branch", true, "hunt", set_positive<&Args::hunt_branch>},
+    {"--no-minimize", false, "hunt", set_flag<&Args::no_minimize>},
+    {"--seed", true, "hunt fuzz", set_seed},
+    {"--count", true, "fuzz", set_uint<&Args::fuzz_count>},
+    {"--oracle", true, "fuzz reduce", set_text<&Args::oracle>},
+    {"--corpus", true, "fuzz", set_text<&Args::corpus_dir>},
+    {"--no-reduce", false, "fuzz", set_flag<&Args::no_reduce>},
+    {"--dump", false, "fuzz", set_flag<&Args::dump>},
+    {"--out", true, "hunt-corpus reduce", set_text<&Args::outfile>},
+};
+
+/// Positional arguments each command takes, as [min, max].
+struct Command {
+    const char* name;
+    size_t min_positional;
+    size_t max_positional;
+};
+
+const Command kCommands[] = {
+    {"check", 1, 1},        {"serve", 0, 0},
+    {"client", 1, 2},       {"batch", 1, 1},
+    {"watch", 1, 1},        {"diff-backends", 1, 1},
+    {"emit-verilog", 1, 1}, {"sim", 1, 1},
+    {"synth", 1, 1},        {"taint", 1, 1},
+    {"hunt", 1, 1},         {"hunt-corpus", 0, 0},
+    {"dump-cpu", 1, 2},     {"asm", 1, 2},
+    {"disasm", 1, 1},       {"fuzz", 0, 0},
+    {"reduce", 1, 1},
+};
+
+bool accepts(const char* commands, const std::string& command) {
+    std::string_view list = commands;
+    while (!list.empty()) {
+        size_t sp = list.find(' ');
+        if (list.substr(0, sp) == command)
+            return true;
+        if (sp == std::string_view::npos)
+            break;
+        list.remove_prefix(sp + 1);
+    }
+    return false;
+}
 
 bool parse_args(int argc, char** argv, Args& args) {
     if (argc < 2)
         return false;
     args.command = argv[1];
-    int i = 2;
-    if (args.command == "dump-cpu") {
-        if (i < argc)
-            args.extra = argv[i++];
-        if (i < argc)
-            args.outfile = argv[i++];
-        return !args.extra.empty();
-    }
-    if (args.command == "asm" || args.command == "disasm") {
-        if (i < argc)
-            args.file = argv[i++];
-        if (i < argc)
-            args.outfile = argv[i++];
-        return !args.file.empty();
-    }
-    if (args.command == "serve") {
-        // No positional argument; everything is a flag.
-        for (; i < argc; ++i) {
-            std::string arg = argv[i];
-            auto next = [&]() -> const char* {
-                return i + 1 < argc ? argv[++i] : nullptr;
-            };
-            const char* v = nullptr;
-            if (arg == "--socket" && (v = next()))
-                args.socket_path = v;
-            else if (arg == "--store" && (v = next()))
-                args.store_dir = v;
-            else if (arg == "--max-sessions" && (v = next()))
-                args.max_sessions = std::strtoull(v, nullptr, 0);
-            else if (arg == "--idle-timeout" && (v = next()))
-                args.idle_timeout_sec = std::strtoull(v, nullptr, 0);
-            else if (arg == "--timeout-ms" && (v = next()))
-                args.timeout_ms = std::strtoull(v, nullptr, 0);
-            else if (arg == "--classic")
-                args.classic = true;
-            else if (arg == "--no-hold")
-                args.no_hold = true;
-            else if (arg == "--solver" && (v = next())) {
-                if (!solver::parse_backend(v)) {
-                    std::fprintf(stderr,
-                                 "--solver: unknown backend '%s' (expected "
-                                 "enum, prune, or cdcl)\n",
-                                 v);
-                    return false;
-                }
-                args.solver = v;
-            } else {
-                std::fprintf(stderr, "serve: unknown option '%s'\n",
-                             arg.c_str());
-                return false;
-            }
-        }
-        if (args.socket_path.empty()) {
-            std::fprintf(stderr, "serve: --socket PATH is required\n");
-            return false;
-        }
-        return true;
-    }
-    if (args.command == "client") {
-        for (; i < argc; ++i) {
-            std::string arg = argv[i];
-            if (arg == "--socket") {
-                if (i + 1 >= argc)
-                    return false;
-                args.socket_path = argv[++i];
-            } else if (arg == "--retry") {
-                if (i + 1 >= argc)
-                    return false;
-                args.retry_attempts = std::strtoull(argv[++i], nullptr, 0);
-            } else if (arg == "--backoff") {
-                if (i + 1 >= argc)
-                    return false;
-                args.retry_backoff_ms = std::strtoull(argv[++i], nullptr, 0);
-            } else if (args.client_method.empty()) {
-                args.client_method = arg;
-            } else {
-                args.client_params = arg;
-            }
-        }
-        if (args.socket_path.empty() || args.client_method.empty()) {
-            std::fprintf(stderr,
-                         "client: --socket PATH and a method are required\n");
-            return false;
-        }
-        return true;
-    }
-    if (args.command == "coordinator") {
-        // One positional target (anywhere), the rest are flags.
-        for (; i < argc; ++i) {
-            std::string arg = argv[i];
-            auto next = [&]() -> const char* {
-                return i + 1 < argc ? argv[++i] : nullptr;
-            };
-            const char* v = nullptr;
-            if (arg == "--socket" && (v = next()))
-                args.socket_path = v;
-            else if (arg == "--store" && (v = next()))
-                args.store_dir = v;
-            else if (arg == "--json" && (v = next()))
-                args.json_path = v;
-            else if (arg == "--timeout-ms" && (v = next()))
-                args.timeout_ms = std::strtoull(v, nullptr, 0);
-            else if (arg == "--lease-ms" && (v = next()))
-                args.lease_ms = std::strtoull(v, nullptr, 0);
-            else if (arg == "--backoff-ms" && (v = next()))
-                args.coord_backoff_ms = std::strtoull(v, nullptr, 0);
-            else if (arg == "--cpus")
-                args.cpus = true;
-            else if (arg == "--classic")
-                args.classic = true;
-            else if (arg == "--no-hold")
-                args.no_hold = true;
-            else if (arg == "--solver" && (v = next())) {
-                if (!solver::parse_backend(v)) {
-                    std::fprintf(stderr,
-                                 "--solver: unknown backend '%s' (expected "
-                                 "enum, prune, or cdcl)\n",
-                                 v);
-                    return false;
-                }
-                args.solver = v;
-            } else if (arg.rfind("--", 0) != 0 && args.file.empty()) {
-                args.file = arg;
-            } else {
-                std::fprintf(stderr, "coordinator: unknown option '%s'\n",
-                             arg.c_str());
-                return false;
-            }
-        }
-        if (args.socket_path.empty()) {
-            std::fprintf(stderr, "coordinator: --socket PATH is required\n");
-            return false;
-        }
-        if (args.file.empty() && !args.cpus) {
-            std::fprintf(stderr,
-                         "coordinator: a target (or --cpus) is required\n");
-            return false;
-        }
-        return true;
-    }
-    if (args.command == "worker") {
-        // No positional argument; everything is a flag.
-        for (; i < argc; ++i) {
-            std::string arg = argv[i];
-            auto next = [&]() -> const char* {
-                return i + 1 < argc ? argv[++i] : nullptr;
-            };
-            const char* v = nullptr;
-            if (arg == "--connect" && (v = next()))
-                args.socket_path = v;
-            else if (arg == "--store" && (v = next()))
-                args.store_dir = v;
-            else if (arg == "--name" && (v = next()))
-                args.worker_name = v;
-            else if (arg == "--retry" && (v = next()))
-                args.retry_attempts = std::strtoull(v, nullptr, 0);
-            else if (arg == "--backoff" && (v = next()))
-                args.retry_backoff_ms = std::strtoull(v, nullptr, 0);
-            else {
-                std::fprintf(stderr, "worker: unknown option '%s'\n",
-                             arg.c_str());
-                return false;
-            }
-        }
-        if (args.socket_path.empty()) {
-            std::fprintf(stderr, "worker: --connect PATH is required\n");
-            return false;
-        }
-        return true;
-    }
-    if (args.command == "fuzz") {
-        // No positional argument; everything is a flag.
-        for (; i < argc; ++i) {
-            std::string arg = argv[i];
-            auto next = [&]() -> const char* {
-                return i + 1 < argc ? argv[++i] : nullptr;
-            };
-            const char* v = nullptr;
-            if (arg == "--seed" && (v = next()))
-                args.fuzz_seed = std::strtoull(v, nullptr, 0);
-            else if (arg == "--count" && (v = next()))
-                args.fuzz_count = std::strtoull(v, nullptr, 0);
-            else if (arg == "--oracle" && (v = next()))
-                args.oracle = v;
-            else if (arg == "--corpus" && (v = next()))
-                args.corpus_dir = v;
-            else if (arg == "--no-reduce")
-                args.no_reduce = true;
-            else if (arg == "--dump")
-                args.dump = true;
-            else {
-                std::fprintf(stderr, "fuzz: unknown option '%s'\n",
-                             arg.c_str());
-                return false;
-            }
-        }
-        return true;
-    }
-    if (args.command == "hunt-corpus") {
-        // No positional argument; everything is a flag.
-        for (; i < argc; ++i) {
-            std::string arg = argv[i];
-            if (arg == "--out" && i + 1 < argc) {
-                args.corpus_out = argv[++i];
-            } else {
-                std::fprintf(stderr, "hunt-corpus: unknown option '%s'\n",
-                             arg.c_str());
-                return false;
-            }
-        }
-        return true;
-    }
-    if (i >= argc)
+    const Command* cmd = nullptr;
+    for (const Command& c : kCommands)
+        if (args.command == c.name)
+            cmd = &c;
+    if (!cmd)
         return false;
-    args.file = argv[i++];
-    for (; i < argc; ++i) {
+
+    std::vector<std::string> positional;
+    for (int i = 2; i < argc; ++i) {
         std::string arg = argv[i];
-        auto next = [&]() -> const char* {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        if (arg == "--top") {
-            const char* v = next();
-            if (!v)
-                return false;
-            args.top = v;
-        } else if (arg == "--classic") {
-            args.classic = true;
-        } else if (arg == "--no-hold") {
-            args.no_hold = true;
-        } else if (arg == "--compat") {
-            args.compat = true;
-        } else if (arg == "--no-enable-ff") {
-            args.no_enable_ff = true;
-        } else if (arg == "--clock") {
-            const char* v = next();
-            if (!v)
-                return false;
-            args.clock = std::atof(v);
-        } else if (arg == "--cycles") {
-            const char* v = next();
-            if (!v)
-                return false;
-            args.cycles = std::strtoull(v, nullptr, 0);
-        } else if (arg == "--set") {
-            const char* v = next();
-            if (!v)
-                return false;
-            std::string s = v;
-            size_t eq = s.find('=');
-            if (eq == std::string::npos)
-                return false;
-            args.sets.emplace_back(s.substr(0, eq),
-                                   std::strtoull(s.c_str() + eq + 1, nullptr,
-                                                 0));
-        } else if (arg == "--watch") {
-            const char* v = next();
-            if (!v)
-                return false;
-            args.watches.push_back(v);
-        } else if (arg == "--vcd") {
-            const char* v = next();
-            if (!v)
-                return false;
-            args.vcd_path = v;
-        } else if (arg == "--stats") {
-            args.stats = true;
-        } else if (arg == "--remote") {
-            const char* v = next();
-            if (!v)
-                return false;
-            args.socket_path = v;
-        } else if (arg == "--retry") {
-            const char* v = next();
-            if (!v)
-                return false;
-            args.retry_attempts = std::strtoull(v, nullptr, 0);
-        } else if (arg == "--backoff") {
-            const char* v = next();
-            if (!v)
-                return false;
-            args.retry_backoff_ms = std::strtoull(v, nullptr, 0);
-        } else if (arg == "--solver") {
-            const char* v = next();
-            if (!v)
-                return false;
-            if (!solver::parse_backend(v)) {
-                std::fprintf(stderr,
-                             "--solver: unknown backend '%s' (expected "
-                             "enum, prune, or cdcl)\n",
-                             v);
-                return false;
-            }
-            args.solver = v;
-        } else if (arg == "--jobs") {
-            const char* v = next();
-            if (!v)
-                return false;
-            char* end = nullptr;
-            args.jobs = std::strtoull(v, &end, 0);
-            if (!*v || *end) {
-                std::fprintf(stderr, "--jobs: bad count '%s'\n", v);
-                return false;
-            }
-        } else if (arg == "--json") {
-            const char* v = next();
-            if (!v)
-                return false;
-            args.json_path = v;
-        } else if (arg == "--timeout-ms") {
-            const char* v = next();
-            if (!v)
-                return false;
-            char* end = nullptr;
-            args.timeout_ms = std::strtoull(v, &end, 0);
-            if (!*v || *end) {
-                std::fprintf(stderr, "--timeout-ms: bad value '%s'\n", v);
-                return false;
-            }
-        } else if (arg == "--no-cache") {
-            args.no_cache = true;
-        } else if (arg == "--store") {
-            const char* v = next();
-            if (!v)
-                return false;
-            args.store_dir = v;
-        } else if (arg == "--no-store") {
-            args.no_store = true;
-        } else if (arg == "--interval-ms") {
-            const char* v = next();
-            if (!v)
-                return false;
-            char* end = nullptr;
-            args.interval_ms = std::strtoull(v, &end, 0);
-            if (!*v || *end) {
-                std::fprintf(stderr, "--interval-ms: bad value '%s'\n", v);
-                return false;
-            }
-        } else if (arg == "--iterations") {
-            const char* v = next();
-            if (!v)
-                return false;
-            char* end = nullptr;
-            args.iterations = std::strtoull(v, &end, 0);
-            if (!*v || *end) {
-                std::fprintf(stderr, "--iterations: bad count '%s'\n", v);
-                return false;
-            }
-        } else if (arg == "--warm") {
-            args.warm = true;
-        } else if (arg == "--cpus") {
-            args.cpus = true;
-        } else if (arg == "--oracle") {
-            const char* v = next();
-            if (!v)
-                return false;
-            args.oracle = v;
-        } else if (arg == "--depth") {
-            const char* v = next();
-            if (!v)
-                return false;
-            char* end = nullptr;
-            args.hunt_depth = std::strtoull(v, &end, 0);
-            if (!*v || *end || args.hunt_depth == 0) {
-                std::fprintf(stderr, "--depth: bad cycle count '%s'\n", v);
-                return false;
-            }
-        } else if (arg == "--observer") {
-            const char* v = next();
-            if (!v)
-                return false;
-            args.observer = v;
-        } else if (arg == "--beam") {
-            const char* v = next();
-            if (!v)
-                return false;
-            char* end = nullptr;
-            args.hunt_beam = std::strtoull(v, &end, 0);
-            if (!*v || *end || args.hunt_beam == 0) {
-                std::fprintf(stderr, "--beam: bad width '%s'\n", v);
-                return false;
-            }
-        } else if (arg == "--branch") {
-            const char* v = next();
-            if (!v)
-                return false;
-            char* end = nullptr;
-            args.hunt_branch = std::strtoull(v, &end, 0);
-            if (!*v || *end || args.hunt_branch == 0) {
-                std::fprintf(stderr, "--branch: bad count '%s'\n", v);
-                return false;
-            }
-        } else if (arg == "--seed") {
-            const char* v = next();
-            if (!v)
-                return false;
-            args.hunt_seed = std::strtoull(v, nullptr, 0);
-        } else if (arg == "--no-minimize") {
-            args.no_minimize = true;
-        } else if (arg == "--out") {
-            const char* v = next();
-            if (!v)
-                return false;
-            args.outfile = v;
-        } else {
-            std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
+        if (arg.rfind("--", 0) != 0) {
+            positional.push_back(arg);
+            continue;
+        }
+        const Option* opt = nullptr;
+        for (const Option& o : kOptions)
+            if (arg == o.flag)
+                opt = &o;
+        if (!opt || !accepts(opt->commands, args.command)) {
+            std::fprintf(stderr, "%s: unknown option '%s'\n",
+                         args.command.c_str(), arg.c_str());
             return false;
         }
+        const char* value = nullptr;
+        if (opt->value) {
+            if (i + 1 >= argc) {
+                std::fprintf(stderr, "%s: missing value\n", opt->flag);
+                return false;
+            }
+            value = argv[++i];
+        }
+        if (!opt->apply(args, opt->flag, value))
+            return false;
+    }
+    if (positional.size() < cmd->min_positional ||
+        positional.size() > cmd->max_positional) {
+        std::fprintf(stderr, "%s: wrong number of arguments\n",
+                     args.command.c_str());
+        return false;
+    }
+
+    if (args.command == "client") {
+        args.client_method = positional[0];
+        if (positional.size() > 1)
+            args.client_params = positional[1];
+    } else if (!positional.empty()) {
+        args.file = positional[0];
+        if (positional.size() > 1)
+            args.outfile = positional[1];
+    }
+    if ((args.command == "serve" || args.command == "client") &&
+        args.socket_path.empty()) {
+        std::fprintf(stderr, "%s: --socket PATH is required\n",
+                     args.command.c_str());
+        return false;
     }
     return true;
 }
 
-/// Reconnect policy shared by client/worker/check --remote.
+/// Reconnect policy shared by client and check --remote.
 net::RetryOptions retry_options(const Args& args) {
     net::RetryOptions retry;
     retry.attempts = static_cast<int>(args.retry_attempts);
@@ -674,28 +459,7 @@ int cmd_check(const Args& args) {
         std::fputs(comp.render_diagnostics().c_str(), stderr);
         return 1;
     }
-    // --store: replay unchanged obligations from the persistent store and
-    // write freshly solved verdicts through. A broken store degrades to a
-    // cold check, never a failed one.
-    std::unique_ptr<incr::ArtifactStore> store;
-    if (!args.store_dir.empty()) {
-        incr::StoreOptions sopts;
-        sopts.dir = args.store_dir;
-        auto s = std::make_unique<incr::ArtifactStore>(sopts);
-        std::string serror;
-        if (s->open(serror))
-            store = std::move(s);
-        else
-            std::fprintf(stderr, "svlc: store disabled: %s\n",
-                         serror.c_str());
-    }
-    std::optional<incr::ObligationReplayer> oracle;
-    if (store && comp.elaborate()) {
-        oracle.emplace(*store, *comp.design(), comp.options().check);
-        comp.options().check.oracle = &*oracle;
-    }
     const check::CheckResult* checked = comp.check();
-    comp.options().check.oracle = nullptr;
     std::fputs(comp.render_diagnostics().c_str(), stderr);
     if (!checked)
         return 1;
@@ -711,14 +475,9 @@ int cmd_check(const Args& args) {
         out << pipeline::check_report_json(comp, result, args.file);
         std::fprintf(stderr, "wrote %s\n", args.json_path.c_str());
     }
-    if (args.stats) {
+    if (args.stats)
         std::fputs(pipeline::solver_stats_line(result.solver_stats).c_str(),
                    stderr);
-        if (store)
-            std::fprintf(stderr, "incremental: %zu replayed, %zu re-solved\n",
-                         result.obligations_replayed,
-                         result.obligations_solved);
-    }
     return result.ok ? 0 : 1;
 }
 
@@ -774,96 +533,6 @@ int cmd_client(const Args& args) {
     return 0;
 }
 
-int cmd_coordinator(const Args& args) {
-    std::vector<driver::JobSpec> jobs;
-    std::string error;
-    if (!args.file.empty() && !driver::collect_jobs(args.file, jobs, error)) {
-        std::fprintf(stderr, "%s\n", error.c_str());
-        return 2;
-    }
-    if (args.cpus) {
-        auto cpu_jobs = driver::builtin_cpu_jobs();
-        jobs.insert(jobs.end(), std::make_move_iterator(cpu_jobs.begin()),
-                    std::make_move_iterator(cpu_jobs.end()));
-    }
-
-    dist::CoordinatorOptions opts;
-    opts.socket_path = args.socket_path;
-    if (!args.no_store)
-        opts.store_dir = args.store_dir;
-    opts.timeout_ms = args.timeout_ms;
-    if (args.lease_ms)
-        opts.lease_ms = args.lease_ms;
-    if (args.coord_backoff_ms)
-        opts.backoff_ms = args.coord_backoff_ms;
-    opts.check = check_options(args);
-
-    size_t job_count = jobs.size();
-    dist::Coordinator coord(std::move(opts), std::move(jobs));
-    if (!coord.start(error)) {
-        std::fprintf(stderr, "svlc coordinator: %s\n", error.c_str());
-        return 2;
-    }
-    std::fprintf(stderr, "svlc coordinator: serving %zu job(s) on %s\n",
-                 job_count, coord.socket_path().c_str());
-    driver::BatchReport report = coord.run();
-
-    // Same split as `svlc batch`: the deterministic verdict summary on
-    // stdout (diffable against a single-process run), telemetry on
-    // stderr and in the JSON report.
-    std::fputs(report.summary().c_str(), stdout);
-    const dist::CoordinatorStats& st = coord.stats();
-    std::fprintf(
-        stderr,
-        "coordinator wall %.1f ms, %llu worker(s); %llu lease(s) issued, "
-        "%llu expired, %llu reclaimed, %llu steal(s), %llu duplicate "
-        "result(s), %llu store skip(s)\n",
-        report.wall_ms,
-        static_cast<unsigned long long>(st.workers_registered),
-        static_cast<unsigned long long>(st.leases_issued),
-        static_cast<unsigned long long>(st.leases_expired),
-        static_cast<unsigned long long>(st.leases_reclaimed),
-        static_cast<unsigned long long>(st.steals),
-        static_cast<unsigned long long>(st.duplicate_results),
-        static_cast<unsigned long long>(st.store_skips));
-    if (!args.json_path.empty()) {
-        std::ofstream out(args.json_path);
-        if (!out) {
-            std::fprintf(stderr, "cannot write '%s'\n",
-                         args.json_path.c_str());
-            return 2;
-        }
-        out << report.to_json(true);
-        std::fprintf(stderr, "wrote %s\n", args.json_path.c_str());
-    }
-    return report.all_ran() ? 0 : 1;
-}
-
-int cmd_worker(const Args& args) {
-    dist::WorkerOptions opts;
-    opts.socket_path = args.socket_path;
-    opts.store_dir = args.store_dir;
-    opts.name = args.worker_name;
-    opts.retry = retry_options(args);
-    dist::Worker worker(std::move(opts));
-    std::string error;
-    if (!worker.run(error)) {
-        std::fprintf(stderr, "svlc worker: %s\n", error.c_str());
-        return 2;
-    }
-    const dist::WorkerStats& st = worker.stats();
-    std::fprintf(
-        stderr,
-        "svlc worker: %llu lease(s), %llu verified, %llu store hit(s), "
-        "%llu verdict(s) + %llu entailment(s) pushed\n",
-        static_cast<unsigned long long>(st.leases),
-        static_cast<unsigned long long>(st.verified),
-        static_cast<unsigned long long>(st.store_hits),
-        static_cast<unsigned long long>(st.pushed_verdicts),
-        static_cast<unsigned long long>(st.pushed_entail));
-    return 0;
-}
-
 int cmd_batch(const Args& args) {
     std::vector<driver::JobSpec> jobs;
     std::string error;
@@ -914,17 +583,6 @@ int cmd_batch(const Args& args) {
             static_cast<unsigned long long>(report.store.entail_loaded),
             static_cast<unsigned long long>(report.store.entail_flushed),
             static_cast<unsigned long long>(report.store.corrupt_discarded));
-        size_t replayed = 0, solved = 0;
-        for (const auto& r : report.results) {
-            replayed += r.obligations_replayed;
-            solved += r.obligations_solved;
-        }
-        std::fprintf(
-            stderr,
-            "store: %zu obligation(s) replayed, %zu re-solved, %llu "
-            "obligation record(s) written\n",
-            replayed, solved,
-            static_cast<unsigned long long>(report.store.obligation_stores));
     }
     if (!args.json_path.empty()) {
         std::ofstream out(args.json_path);
@@ -1120,7 +778,7 @@ int cmd_hunt(const Args& args) {
     opts.depth = args.hunt_depth;
     opts.beam = static_cast<size_t>(args.hunt_beam);
     opts.branch = static_cast<size_t>(args.hunt_branch);
-    opts.seed = args.hunt_seed;
+    opts.seed = args.seed.value_or(0x5eed);
     opts.minimize = !args.no_minimize;
     if (!args.observer.empty()) {
         auto lvl = design->policy.lattice().find(args.observer);
@@ -1153,7 +811,8 @@ int cmd_hunt(const Args& args) {
 int cmd_hunt_corpus(const Args& args) {
     std::vector<hunt::Scenario> scenarios = hunt::builtin_scenarios();
     std::string error;
-    if (!hunt::write_corpus(args.corpus_out, scenarios, error)) {
+    std::string out = args.outfile.empty() ? "hunt-corpus" : args.outfile;
+    if (!hunt::write_corpus(out, scenarios, error)) {
         std::fprintf(stderr, "hunt-corpus: %s\n", error.c_str());
         return 1;
     }
@@ -1162,27 +821,27 @@ int cmd_hunt_corpus(const Args& args) {
         planted += sc.planted_leak ? 1 : 0;
     std::printf("wrote %zu scenario(s) (%zu with planted leaks) and a "
                 "hunt manifest to %s\n",
-                scenarios.size(), planted, args.corpus_out.c_str());
+                scenarios.size(), planted, out.c_str());
     return 0;
 }
 
 int cmd_dump_cpu(const Args& args) {
     std::string text;
     std::string suggested;
-    if (args.extra == "labeled") {
+    if (args.file == "labeled") {
         text = proc::labeled_cpu_source();
         suggested = "cpu_labeled.svlc";
-    } else if (args.extra == "baseline") {
+    } else if (args.file == "baseline") {
         text = proc::baseline_cpu_source();
         suggested = "cpu_baseline.svlc";
-    } else if (args.extra == "vulnerable") {
+    } else if (args.file == "vulnerable") {
         text = proc::vulnerable_cpu_source();
         suggested = "cpu_vulnerable.svlc";
-    } else if (args.extra == "quad") {
+    } else if (args.file == "quad") {
         text = proc::quad_core_source();
         suggested = "quad.svlc";
     } else {
-        std::fprintf(stderr, "unknown variant '%s'\n", args.extra.c_str());
+        std::fprintf(stderr, "unknown variant '%s'\n", args.file.c_str());
         return 2;
     }
     if (args.outfile.empty()) {
@@ -1250,7 +909,7 @@ int cmd_disasm(const Args& args) {
 
 int cmd_fuzz(const Args& args) {
     fuzz::FuzzOptions opts;
-    opts.seed = args.fuzz_seed;
+    opts.seed = args.seed.value_or(1);
     opts.count = args.fuzz_count;
     opts.corpus_dir = args.corpus_dir;
     opts.reduce_failures = !args.no_reduce;
@@ -1368,10 +1027,6 @@ int dispatch(const Args& args) {
         return cmd_serve(args);
     if (args.command == "client")
         return cmd_client(args);
-    if (args.command == "coordinator")
-        return cmd_coordinator(args);
-    if (args.command == "worker")
-        return cmd_worker(args);
     if (args.command == "batch")
         return cmd_batch(args);
     if (args.command == "watch")
