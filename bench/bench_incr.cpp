@@ -6,7 +6,9 @@
 //                       replays its verdict, nothing is parsed at all
 // The fingerprint-warm row is the edit–recheck steady state `svlc watch`
 // and CI-cached batches live in; the acceptance bar is >= 50x over cold.
-// Emits BENCH_incr.json (svlc-bench-incr/v3) alongside the table.
+// Emits BENCH_incr.json (svlc-bench-incr/v4; v3 also carried
+// entail_loaded from the retired persisted entailment cache) alongside
+// the table.
 #include "bench_util.hpp"
 
 #include "driver/driver.hpp"
@@ -99,7 +101,7 @@ void print_table() {
 
     JsonWriter w;
     w.begin_object();
-    w.kv("schema", "svlc-bench-incr/v3");
+    w.kv("schema", "svlc-bench-incr/v4");
     w.kv("bench", "incr");
     w.kv("jobs", jobs.size());
     w.kv("cold_ms", cold.wall_ms, 3);
@@ -108,7 +110,6 @@ void print_table() {
     w.kv("cache_warm_speedup", cold.wall_ms / cache_warm.wall_ms, 2);
     w.kv("fingerprint_warm_speedup", cold.wall_ms / fp_warm.wall_ms, 2);
     w.kv("fingerprint_skipped", fp_warm.skipped_count());
-    w.kv("entail_loaded", fp_warm.store.entail_loaded);
     w.end_object();
     std::ofstream out("BENCH_incr.json");
     out << w.str() << "\n";
@@ -137,26 +138,6 @@ void bm_incr_fingerprint_warm(benchmark::State& state) {
     fs::remove_all(store, ec);
 }
 BENCHMARK(bm_incr_fingerprint_warm)->Unit(benchmark::kMillisecond);
-
-void bm_incr_entail_load(benchmark::State& state) {
-    auto jobs = corpus();
-    fs::path store = fresh_store_dir();
-    DriverOptions opts;
-    opts.store_dir = store.string();
-    (void)VerificationDriver(opts).run(jobs); // populate entail.cache
-    incr::StoreOptions sopts;
-    sopts.dir = store.string();
-    for (auto _ : state) {
-        incr::ArtifactStore s(sopts);
-        std::string error;
-        s.open(error);
-        solver::EntailCache cache;
-        benchmark::DoNotOptimize(s.load_entail(cache));
-    }
-    std::error_code ec;
-    fs::remove_all(store, ec);
-}
-BENCHMARK(bm_incr_entail_load)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

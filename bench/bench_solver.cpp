@@ -1,9 +1,9 @@
 // E11b: the entailment engine — microbenchmarks of the decision
 // procedure that discharges C(•η) ⇒ τ⊔pc ⊑ τ' (syntactic fast path vs
 // dependency-closed enumeration), the enumeration-budget sweep, and the
-// enum/prune/cdcl backend comparison — including the cdcl arena-term and
-// packed-eval ablations — over the hdl/ corpus (emitted as
-// BENCH_solver.json, schema svlc-bench-solver/v2, for CI dashboards).
+// enum-reference vs cdcl-production backend comparison over the hdl/
+// corpus (emitted as BENCH_solver.json, schema svlc-bench-solver/v3, for
+// CI dashboards).
 #include "bench_util.hpp"
 #include "driver/driver.hpp"
 #include "sem/updates.hpp"
@@ -70,7 +70,7 @@ void print_table() {
     }
 }
 
-// --- enum vs prune over the corpus -----------------------------------------
+// --- enum vs cdcl over the corpus ------------------------------------------
 
 /// Every design the backend comparison runs: the on-disk hdl/ corpus, the
 /// four built-in processor variants, and two enumeration-heavy synthetic
@@ -104,26 +104,9 @@ struct BackendRun {
     std::vector<double> per_ob_ms;
 };
 
-/// One benchmarked backend configuration. The two cdcl-* rows are the
-/// ablations: identical search decisions, degraded evaluation machinery,
-/// so their delta against "cdcl" isolates each optimization's
-/// contribution.
-struct BackendConfig {
-    const char* id;
-    solver::BackendKind kind;
-    bool arena_terms;
-    bool packed_eval;
-};
-
-constexpr BackendConfig kBackendConfigs[] = {
-    {"enum", solver::BackendKind::Enum, true, true},
-    {"prune", solver::BackendKind::Prune, true, true},
-    {"cdcl", solver::BackendKind::Cdcl, true, true},
-    {"cdcl-noarena", solver::BackendKind::Cdcl, false, true},
-    {"cdcl-nopack", solver::BackendKind::Cdcl, true, false},
-};
-constexpr size_t kNumConfigs =
-    sizeof(kBackendConfigs) / sizeof(kBackendConfigs[0]);
+constexpr solver::BackendKind kBackends[] = {solver::BackendKind::Enum,
+                                             solver::BackendKind::Cdcl};
+constexpr size_t kNumBackends = sizeof(kBackends) / sizeof(kBackends[0]);
 
 double percentile(std::vector<double> v, double p) {
     if (v.empty())
@@ -133,7 +116,7 @@ double percentile(std::vector<double> v, double p) {
     return v[i];
 }
 
-BackendRun run_corpus(const BackendConfig& cfg,
+BackendRun run_corpus(solver::BackendKind kind,
                       const std::vector<driver::JobSpec>& jobs) {
     BackendRun run;
     for (const driver::JobSpec& job : jobs) {
@@ -142,9 +125,7 @@ BackendRun run_corpus(const BackendConfig& cfg,
             continue;
         pipeline::CompilationOptions opts;
         opts.top = job.top;
-        opts.check.solver.backend = cfg.kind;
-        opts.check.solver.cdcl_arena_terms = cfg.arena_terms;
-        opts.check.solver.cdcl_packed_eval = cfg.packed_eval;
+        opts.check.solver.backend = kind;
         pipeline::Compilation comp(std::move(opts));
         comp.load_text(text, job.name);
         const check::CheckResult* res = comp.check();
@@ -180,22 +161,20 @@ void write_backend(JsonWriter& w, const char* id, const BackendRun& r) {
 
 void backend_comparison() {
     svlc::bench::heading(
-        "E11c: pluggable entailment backends over the verification corpus",
-        "prune enumerates with unit propagation + stride jumps; cdcl "
-        "searches\nconflict-driven over arena-compiled terms and bit-packed "
-        "level tuples.\nThe cdcl-noarena / cdcl-nopack rows ablate one "
-        "optimization each —\nsame search decisions, slower evaluation — so "
-        "their deltas decompose\nthe cdcl row. All rows return identical "
-        "verdicts and witnesses.");
+        "E11c: entailment backends over the verification corpus",
+        "enum is the reference oracle (plain mixed-radix enumeration); cdcl, "
+        "the\nproduction backend, searches conflict-driven over "
+        "arena-compiled terms\nand bit-packed level tuples. Both return "
+        "identical verdicts and witnesses.");
 
     std::vector<driver::JobSpec> jobs = corpus_jobs();
     // One untimed warm-up per backend, then keep the best of three reps so
     // the table isn't dominated by first-touch allocator noise.
-    BackendRun runs[kNumConfigs];
+    BackendRun runs[kNumBackends];
     constexpr int kReps = 3;
     for (int rep = -1; rep < kReps; ++rep) {
-        for (size_t i = 0; i < kNumConfigs; ++i) {
-            BackendRun r = run_corpus(kBackendConfigs[i], jobs);
+        for (size_t i = 0; i < kNumBackends; ++i) {
+            BackendRun r = run_corpus(kBackends[i], jobs);
             if (rep < 0)
                 continue; // warm-up
             if (rep == 0 || r.total_ms < runs[i].total_ms)
@@ -205,46 +184,31 @@ void backend_comparison() {
 
     std::printf("%-14s %12s %12s %12s %12s %12s\n", "backend", "total ms",
                 "obligations", "candidates", "p50 us", "p95 us");
-    for (size_t i = 0; i < kNumConfigs; ++i) {
+    for (size_t i = 0; i < kNumBackends; ++i) {
         const BackendRun& r = runs[i];
         std::printf("%-14s %12.3f %12zu %12llu %12.2f %12.2f\n",
-                    kBackendConfigs[i].id, r.total_ms, r.obligations,
+                    solver::backend_id(kBackends[i]), r.total_ms, r.obligations,
                     static_cast<unsigned long long>(r.candidates),
                     percentile(r.per_ob_ms, 0.50) * 1e3,
                     percentile(r.per_ob_ms, 0.95) * 1e3);
     }
-    auto speedup = [&](size_t slow, size_t fast) {
-        return runs[fast].total_ms > 0
-                   ? runs[slow].total_ms / runs[fast].total_ms
-                   : 0.0;
-    };
-    std::printf("speedups: enum/prune %.2fx, enum/cdcl %.2fx, prune/cdcl "
-                "%.2fx\n",
-                speedup(0, 1), speedup(0, 2), speedup(1, 2));
-    std::printf("ablations: arena terms %.2fx (cdcl-noarena/cdcl), packed "
-                "eval %.2fx (cdcl-nopack/cdcl)\n",
-                speedup(3, 2), speedup(4, 2));
+    double speedup =
+        runs[1].total_ms > 0 ? runs[0].total_ms / runs[1].total_ms : 0.0;
+    std::printf("speedup: enum/cdcl %.2fx\n", speedup);
 
-    // v2 (2026-08): cdcl + its two ablation rows, CDCL search telemetry
-    // per backend, and the flat "speedup" scalar replaced by pairwise
-    // ratios keyed by backend id ("a/b" = total_ms(a) / total_ms(b)).
+    // v3: the enum reference and the cdcl production backend only (v2
+    // also carried prune and two cdcl ablation rows); "enum/cdcl" =
+    // total_ms(enum) / total_ms(cdcl).
     JsonWriter w;
     w.begin_object();
-    w.kv("schema", "svlc-bench-solver/v2");
+    w.kv("schema", "svlc-bench-solver/v3");
     w.kv("designs", jobs.size());
     w.key("backends").begin_object();
-    for (size_t i = 0; i < kNumConfigs; ++i)
-        write_backend(w, kBackendConfigs[i].id, runs[i]);
+    for (size_t i = 0; i < kNumBackends; ++i)
+        write_backend(w, solver::backend_id(kBackends[i]), runs[i]);
     w.end_object();
     w.key("speedups").begin_object();
-    for (size_t a = 0; a < kNumConfigs; ++a)
-        for (size_t b = 0; b < kNumConfigs; ++b) {
-            if (a == b)
-                continue;
-            std::string key = std::string(kBackendConfigs[a].id) + "/" +
-                              kBackendConfigs[b].id;
-            w.kv(key.c_str(), speedup(a, b), 3);
-        }
+    w.kv("enum/cdcl", speedup, 3);
     w.end_object();
     w.end_object();
     std::ofstream out("BENCH_solver.json");

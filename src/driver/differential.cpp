@@ -1,9 +1,9 @@
-// Backend differential harness: the self-check behind the pluggable
-// solver. Every entailment backend must produce verification verdicts
-// identical to the enum reference on every design — status,
-// per-obligation records, witnesses, everything in the stable report
-// subset. `svlc diff-backends` and CI run this three-way (enum vs prune
-// vs cdcl) over the whole corpus; any diff fails the build.
+// Backend differential harness: the self-check behind the production
+// solver. The cdcl backend must produce verification verdicts identical
+// to the enum reference on every design — status, per-obligation
+// records, witnesses, everything in the stable report subset.
+// `svlc diff-backends`, the fuzzer's backend-diff oracle and CI run this
+// two-way (enum vs cdcl); any diff fails the build.
 #include "driver/driver.hpp"
 
 #include <string>
@@ -69,20 +69,15 @@ std::vector<BackendDiff> diff_backends(const std::vector<JobSpec>& jobs,
     opts.store_dir.clear(); // never replay one backend's run as another's
 
     opts.check.solver.backend = solver::BackendKind::Enum;
-    VerificationDriver enum_driver(opts);
-    BatchReport enum_report = enum_driver.run(jobs);
+    BatchReport enum_report = VerificationDriver(opts).run(jobs);
+    opts.check.solver.backend = solver::BackendKind::Cdcl;
+    BatchReport cdcl_report = VerificationDriver(opts).run(jobs);
 
     std::vector<BackendDiff> diffs;
-    for (solver::BackendKind kind :
-         {solver::BackendKind::Prune, solver::BackendKind::Cdcl}) {
-        opts.check.solver.backend = kind;
-        VerificationDriver other_driver(opts);
-        BatchReport other_report = other_driver.run(jobs);
-        const std::string backend = solver::backend_id(kind);
-        for (size_t i = 0; i < jobs.size(); ++i)
-            diff_job(enum_report.results[i], other_report.results[i], backend,
-                     diffs);
-    }
+    const std::string backend = solver::backend_id(opts.check.solver.backend);
+    for (size_t i = 0; i < jobs.size(); ++i)
+        diff_job(enum_report.results[i], cdcl_report.results[i], backend,
+                 diffs);
     return diffs;
 }
 

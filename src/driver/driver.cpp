@@ -91,7 +91,6 @@ VerificationDriver::VerificationDriver(DriverOptions opts)
     if (!opts_.store_dir.empty()) {
         incr::StoreOptions sopts;
         sopts.dir = opts_.store_dir;
-        sopts.entail_budget = opts_.store_entail_budget;
         auto store = std::make_unique<incr::ArtifactStore>(sopts);
         std::string error;
         if (store->open(error)) {
@@ -258,13 +257,6 @@ BatchReport VerificationDriver::run(const std::vector<JobSpec>& jobs) {
     report.solver_backend = solver::backend_id(opts_.check.solver.backend);
     report.results.resize(jobs.size());
 
-    // Warm the in-memory entailment cache from disk once per driver;
-    // later runs in the same process are already warmer than the store.
-    if (store_ && !store_loaded_) {
-        store_loaded_ = true;
-        if (opts_.use_cache)
-            store_->load_entail(cache_);
-    }
     incr::ArtifactStore::Stats store_before;
     if (store_)
         store_before = store_->stats();
@@ -304,11 +296,6 @@ BatchReport VerificationDriver::run(const std::vector<JobSpec>& jobs) {
             th.join();
     }
 
-    // Persist what this run learned: newly decided Proven entries merge
-    // into the on-disk cache (budgeted, oldest first out).
-    if (store_ && opts_.use_cache)
-        store_->flush_entail(cache_);
-
     report.wall_ms = ms_since(start);
     report.cache = cache_.stats().since(cache_before);
     if (store_) {
@@ -319,9 +306,6 @@ BatchReport VerificationDriver::run(const std::vector<JobSpec>& jobs) {
             now.verdict_misses - store_before.verdict_misses;
         report.store.verdict_stores =
             now.verdict_stores - store_before.verdict_stores;
-        report.store.entail_loaded = now.entail_loaded;
-        report.store.entail_flushed = now.entail_flushed;
-        report.store.entail_evicted = now.entail_evicted;
         report.store.corrupt_discarded = now.corrupt_discarded;
         report.store.legacy_discarded = now.legacy_discarded;
     }

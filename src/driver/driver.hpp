@@ -88,10 +88,8 @@ struct DriverOptions {
     size_t cache_capacity = solver::EntailCache::kDefaultCapacity;
     /// Persistent store directory (incr/store.hpp); empty disables
     /// persistence. When set, unchanged jobs are answered from stored
-    /// verdicts and the entailment cache survives across processes.
+    /// verdicts.
     std::string store_dir;
-    /// Proven entries kept in the persisted entailment cache.
-    size_t store_entail_budget = incr::StoreOptions{}.entail_budget;
     /// Checker configuration applied to every job (mode, solver budgets).
     check::CheckOptions check;
 };
@@ -106,7 +104,7 @@ struct BatchReport {
     bool store_enabled = false;
     size_t workers = 1;
     uint64_t timeout_ms = 0;
-    /// Entailment backend id ("enum"/"prune") the batch ran with.
+    /// Entailment backend id ("enum"/"cdcl") the batch ran with.
     std::string solver_backend;
     double wall_ms = 0.0;
 
@@ -176,29 +174,28 @@ private:
     DriverOptions opts_;
     solver::EntailCache cache_;
     std::unique_ptr<incr::ArtifactStore> store_;
-    bool store_loaded_ = false;
 };
 
 // --- backend differential harness ------------------------------------------
 
-/// One disagreement between the enum and prune entailment backends. Any
-/// instance is a backend-contract violation: the backends are required to
-/// be verdict- and witness-equivalent.
+/// One disagreement between the enum reference and the cdcl production
+/// backend. Any instance is a backend-contract violation: the backends are
+/// required to be verdict- and witness-equivalent.
 struct BackendDiff {
     std::string job;
     /// What diverged: "status", "obligations", "failed", or a stable
     /// obligation id (for per-obligation record mismatches).
     std::string field;
-    /// The backend that disagreed with the reference ("prune", "cdcl").
+    /// The backend that disagreed with the reference ("cdcl").
     std::string backend;
     /// Reference (enum) value vs the disagreeing backend's value.
     std::string enum_value;
     std::string other_value;
 };
 
-/// Runs every job once per entailment backend — each run with its own
-/// driver and cache, no persistent store — and returns every disagreement
-/// with the enum reference (empty = contract holds for every backend).
+/// Runs every job once per entailment backend (enum, then cdcl) — each run
+/// with its own driver and cache, no persistent store — and returns every
+/// disagreement with the enum reference (empty = the contract holds).
 /// `base` supplies checker budgets and worker count; its backend and
 /// store settings are overridden.
 std::vector<BackendDiff> diff_backends(const std::vector<JobSpec>& jobs,

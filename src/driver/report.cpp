@@ -60,8 +60,8 @@ void put_solver_stats(JsonWriter& w,
     w.kv("cache_misses", s.cache_misses);
     w.kv("enumerations", s.enumerations);
     w.kv("candidates", s.total_candidates);
-    // CDCL search telemetry; identically zero for the enum and prune
-    // backends, which enumerate instead of deciding/propagating.
+    // CDCL search telemetry; identically zero for the enum backend,
+    // which enumerates instead of deciding/propagating.
     w.kv("conflicts", s.conflicts);
     w.kv("propagations", s.propagations);
     w.kv("learned_clauses", s.learned_clauses);
@@ -156,9 +156,6 @@ std::string BatchReport::to_json(bool full) const {
         w.kv("hits", store.verdict_hits);
         w.kv("misses", store.verdict_misses);
         w.kv("stores", store.verdict_stores);
-        w.kv("entail_loaded", store.entail_loaded);
-        w.kv("entail_flushed", store.entail_flushed);
-        w.kv("entail_evicted", store.entail_evicted);
         w.kv("corrupt_discarded", store.corrupt_discarded);
         w.kv("legacy_discarded", store.legacy_discarded);
         w.end_object();

@@ -5,8 +5,8 @@
 //   no-crash    parse → elaborate → check → sim never throws or aborts,
 //               even on ill-formed input (diagnostics are the only legal
 //               failure mode).
-//   diff        every entailment backend (prune, cdcl) agrees with the
-//               enum reference on verdicts, per-obligation records, and
+//   diff        the cdcl production backend agrees with the enum
+//               reference on verdicts, per-obligation records, and
 //               counterexample witnesses. Alias: backend-diff.
 //   soundness   a checker-accepted program (without downgrades/assumes)
 //               passes the dynamic observational-determinism tester at

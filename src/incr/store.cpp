@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <unordered_set>
 #include <vector>
 
 namespace svlc::incr {
@@ -84,24 +83,21 @@ std::string ArtifactStore::verdict_path(const std::string& fp) const {
         .string();
 }
 
-std::string ArtifactStore::entail_path() const {
-    return (fs::path(opts_.dir) / "v2" / "entail.cache").string();
-}
-
 bool ArtifactStore::open(std::string& error) {
     fs::path v2 = fs::path(opts_.dir) / "v2";
     fs::path format = v2 / "FORMAT";
     std::error_code ec;
 
-    // Retired trees — the `v1/` generation and the per-obligation records
-    // older builds kept under `v2/obligations/` — are discarded wholesale
-    // the moment their directory is seen: one rm, one counter tick, never
-    // a walk that surfaces thousands of entries as individual misses, and
-    // never a read through the old framing. Job records and entail.cache
-    // are unchanged, so the rest of v2/ stays valid.
-    for (const fs::path& retired :
-         {fs::path(opts_.dir) / "v1", v2 / "obligations"}) {
-        if (fs::is_directory(retired, ec)) {
+    // Retired artifacts — the `v1/` generation, the per-obligation
+    // records under `v2/obligations/`, and the persisted entailment cache
+    // `v2/entail.cache` older builds kept — are discarded wholesale the
+    // moment they are seen: one rm, one counter tick, never a walk that
+    // surfaces thousands of entries as individual misses, and never a
+    // read through the old framing. Job records are unchanged, so the
+    // rest of v2/ stays valid.
+    for (const fs::path& retired : {fs::path(opts_.dir) / "v1",
+                                    v2 / "obligations", v2 / "entail.cache"}) {
+        if (fs::exists(retired, ec)) {
             fs::remove_all(retired, ec);
             legacy_discarded_.fetch_add(1, std::memory_order_relaxed);
         }
@@ -270,111 +266,11 @@ bool ArtifactStore::store_verdict(const std::string& fp,
     return true;
 }
 
-namespace {
-
-using EntailEntries =
-    std::vector<std::pair<std::string, solver::EntailCache::ProvenEntry>>;
-
-/// Parses an entail payload; false on any malformation.
-bool parse_entail(const std::string& payload, EntailEntries& out) {
-    Cursor c{payload};
-    uint64_t count = c.tagged_uint("count");
-    for (uint64_t i = 0; i < count && c.ok; ++i) {
-        // "<keylen> <candidates>\n<key bytes>\n" — keys are the solver's
-        // canonical full-text keys and contain newlines, hence the
-        // length prefix.
-        std::string meta = c.line();
-        size_t sp = meta.find(' ');
-        if (!c.ok || sp == std::string::npos) {
-            c.ok = false;
-            break;
-        }
-        char *end1 = nullptr, *end2 = nullptr;
-        uint64_t keylen = std::strtoull(meta.c_str(), &end1, 10);
-        uint64_t candidates = std::strtoull(meta.c_str() + sp + 1, &end2, 10);
-        if (end1 != meta.c_str() + sp || !end2 || *end2) {
-            c.ok = false;
-            break;
-        }
-        std::string key = c.bytes(keylen);
-        if (c.bytes(1) != "\n")
-            c.ok = false;
-        out.emplace_back(std::move(key),
-                         solver::EntailCache::ProvenEntry{candidates});
-    }
-    return c.ok && c.pos == payload.size();
-}
-
-std::string serialize_entail(const EntailEntries& entries) {
-    std::string payload;
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "count %zu\n", entries.size());
-    payload += buf;
-    for (const auto& [key, entry] : entries) {
-        std::snprintf(buf, sizeof buf, "%zu %llu\n", key.size(),
-                      static_cast<unsigned long long>(entry.candidates));
-        payload += buf;
-        payload += key;
-        payload += '\n';
-    }
-    return payload;
-}
-
-} // namespace
-
-size_t ArtifactStore::load_entail(solver::EntailCache& cache) {
-    auto payload = read_payload(entail_path(), "entail");
-    if (!payload)
-        return 0;
-    EntailEntries entries;
-    if (!parse_entail(*payload, entries)) {
-        discard(entail_path());
-        return 0;
-    }
-    for (const auto& [key, entry] : entries)
-        cache.insert(key, entry);
-    entail_loaded_.fetch_add(entries.size(), std::memory_order_relaxed);
-    return entries.size();
-}
-
-size_t ArtifactStore::flush_entail(const solver::EntailCache& cache) {
-    // Merge: file order is age order. Entries already on disk keep their
-    // position (oldest first); keys new to the store append at the tail;
-    // compaction drops from the front once past the budget.
-    EntailEntries merged;
-    if (auto payload = read_payload(entail_path(), "entail")) {
-        if (!parse_entail(*payload, merged)) {
-            merged.clear();
-            discard(entail_path());
-        }
-    }
-    std::unordered_set<std::string> seen;
-    seen.reserve(merged.size());
-    for (const auto& [key, entry] : merged)
-        seen.insert(key);
-    for (auto& [key, entry] : cache.snapshot())
-        if (seen.insert(key).second)
-            merged.emplace_back(std::move(key), entry);
-    if (merged.size() > opts_.entail_budget) {
-        size_t drop = merged.size() - opts_.entail_budget;
-        merged.erase(merged.begin(),
-                     merged.begin() + static_cast<ptrdiff_t>(drop));
-        entail_evicted_.fetch_add(drop, std::memory_order_relaxed);
-    }
-    if (!write_payload(entail_path(), "entail", serialize_entail(merged)))
-        return 0;
-    entail_flushed_.store(merged.size(), std::memory_order_relaxed);
-    return merged.size();
-}
-
 ArtifactStore::Stats ArtifactStore::stats() const {
     Stats s;
     s.verdict_hits = verdict_hits_.load(std::memory_order_relaxed);
     s.verdict_misses = verdict_misses_.load(std::memory_order_relaxed);
     s.verdict_stores = verdict_stores_.load(std::memory_order_relaxed);
-    s.entail_loaded = entail_loaded_.load(std::memory_order_relaxed);
-    s.entail_flushed = entail_flushed_.load(std::memory_order_relaxed);
-    s.entail_evicted = entail_evicted_.load(std::memory_order_relaxed);
     s.corrupt_discarded =
         corrupt_discarded_.load(std::memory_order_relaxed);
     s.legacy_discarded = legacy_discarded_.load(std::memory_order_relaxed);

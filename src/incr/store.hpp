@@ -1,16 +1,9 @@
 // Content-addressed on-disk artifact store (`svlc-store/v2`) — the
 // persistence layer that makes verification incremental *across*
-// processes, not just within one batch:
-//
-//   (a) per-job verification verdicts, keyed by the job fingerprint
-//       (incr/fingerprint.hpp), so an unchanged job is answered without
-//       parsing a single byte of its source;
-//   (b) the memoizing entailment cache (Proven entries only, the
-//       existing canonical full-text keys), loaded at batch start and
-//       merged/compacted at batch end.
-//
-// An edited job is re-verified in full; the entailment cache (b) still
-// answers its unchanged Proven queries.
+// processes, not just within one batch. It holds per-job verification
+// verdicts, keyed by the job fingerprint (incr/fingerprint.hpp), so an
+// unchanged job is answered without parsing a single byte of its
+// source. An edited job is re-verified in full.
 //
 // Layout under the store root (all children of a `v2/` directory so a
 // future format can live alongside without a migration):
@@ -18,12 +11,12 @@
 //   <root>/v2/FORMAT               "svlc-store/v2\n" (sanity marker)
 //   <root>/v2/verdicts/ab/<fp>     one job record per job fingerprint,
 //                                  sharded by the first two hex chars
-//   <root>/v2/entail.cache         serialized Proven entries, oldest first
 //
-// Retired trees are detected by their directory and discarded wholesale
-// on open() — rebuilt, never misread, and never walked entry by entry as
-// misses: a legacy `<root>/v1/` generation, and the `<root>/v2/obligations/`
-// per-obligation records older builds wrote.
+// Retired artifacts are detected by their path and discarded wholesale
+// on open() — never misread, and never walked entry by entry as misses:
+// a legacy `<root>/v1/` generation, the `<root>/v2/obligations/`
+// per-obligation records, and the `<root>/v2/entail.cache` persisted
+// entailment cache older builds wrote.
 //
 // Every file starts with a `svlc-store/v2 <kind>` header and ends with
 // an FNV-1a 64 checksum over the preceding bytes. Readers that see a
@@ -35,12 +28,10 @@
 // leaves the previous generation intact.
 //
 // Thread safety: verdict loads/stores may be called concurrently from
-// driver workers (distinct files; the shared counters are atomics). load_entail/flush_entail are batch-scoped and must be
-// called from one thread at a time.
+// driver workers (distinct files; the shared counters are atomics).
 #pragma once
 
 #include "pipeline/compilation.hpp"
-#include "solver/entail_cache.hpp"
 
 #include <atomic>
 #include <cstdint>
@@ -72,9 +63,6 @@ struct StoredVerdict {
 
 struct StoreOptions {
     std::string dir;
-    /// Maximum Proven entries kept in entail.cache after a flush; the
-    /// oldest entries (earliest in file order) are evicted first.
-    size_t entail_budget = size_t{1} << 16;
 };
 
 /// Canonical byte serialization of a StoredVerdict — the payload of a
@@ -91,13 +79,10 @@ public:
         uint64_t verdict_hits = 0;
         uint64_t verdict_misses = 0;
         uint64_t verdict_stores = 0;
-        uint64_t entail_loaded = 0;
-        uint64_t entail_flushed = 0;
-        uint64_t entail_evicted = 0;
         /// Corrupt or version-mismatched files discarded (and deleted).
         uint64_t corrupt_discarded = 0;
-        /// Whole retired trees (`v1/`, `v2/obligations/`) discarded on
-        /// open().
+        /// Retired artifacts (`v1/`, `v2/obligations/`,
+        /// `v2/entail.cache`) discarded on open().
         uint64_t legacy_discarded = 0;
     };
 
@@ -112,21 +97,11 @@ public:
     std::optional<StoredVerdict> load_verdict(const std::string& fp);
     bool store_verdict(const std::string& fp, const StoredVerdict& v);
 
-    /// Inserts every persisted Proven entry into `cache`. Returns the
-    /// number loaded; 0 (after discarding) when the file is corrupt.
-    size_t load_entail(solver::EntailCache& cache);
-    /// Merges `cache`'s current entries into the on-disk file: existing
-    /// file order is preserved (oldest first), unseen keys append at the
-    /// tail, and the front is dropped once past the entry budget.
-    /// Returns the number of entries written.
-    size_t flush_entail(const solver::EntailCache& cache);
-
     [[nodiscard]] Stats stats() const;
     [[nodiscard]] const std::string& dir() const { return opts_.dir; }
 
 private:
     std::string verdict_path(const std::string& fp) const;
-    std::string entail_path() const;
     /// Reads a store file, validates header + checksum; empty optional →
     /// missing or discarded-as-corrupt (counted & deleted).
     std::optional<std::string> read_payload(const std::string& path,
@@ -139,9 +114,6 @@ private:
     std::atomic<uint64_t> verdict_hits_{0};
     std::atomic<uint64_t> verdict_misses_{0};
     std::atomic<uint64_t> verdict_stores_{0};
-    std::atomic<uint64_t> entail_loaded_{0};
-    std::atomic<uint64_t> entail_flushed_{0};
-    std::atomic<uint64_t> entail_evicted_{0};
     std::atomic<uint64_t> corrupt_discarded_{0};
     std::atomic<uint64_t> legacy_discarded_{0};
 };

@@ -2,7 +2,7 @@
 // well-formedness → typecheck sequence lives. The CLI, the batch driver,
 // the benchmarks, and the examples all run designs through this facade
 // instead of hand-rolling the phase plumbing, and CompilationOptions is
-// the single point where a solver backend is selected (--solver=enum|prune
+// the single point where a solver backend is selected (--solver=enum|cdcl
 // on the CLI).
 //
 // Usage:

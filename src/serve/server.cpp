@@ -158,12 +158,10 @@ bool Server::start(std::string& error) {
     if (!opts_.store_dir.empty()) {
         incr::StoreOptions sopts;
         sopts.dir = opts_.store_dir;
-        sopts.entail_budget = opts_.store_entail_budget;
         auto store = std::make_unique<incr::ArtifactStore>(sopts);
         std::string store_error;
         if (store->open(store_error)) {
             store_ = std::move(store);
-            store_->load_entail(cache_);
         } else {
             // Same degradation policy as the batch driver: a broken
             // store means a cold daemon, not a dead one.
@@ -193,11 +191,6 @@ void Server::request_stop() {
         char b = 'q';
         [[maybe_unused]] ssize_t n = ::write(wake_pipe_[1], &b, 1);
     }
-}
-
-void Server::flush_store() {
-    if (store_)
-        store_->flush_entail(cache_);
 }
 
 Server::Session* Server::find_session(const std::string& key) {
@@ -292,8 +285,6 @@ JsonValue Server::do_status() {
         JsonValue store = JsonValue::object();
         store.set("dir", JsonValue(store_->dir()));
         store.set("verdict_stores", JsonValue(ss.verdict_stores));
-        store.set("entail_loaded", JsonValue(ss.entail_loaded));
-        store.set("entail_flushed", JsonValue(ss.entail_flushed));
         result.set("store", std::move(store));
     }
     return result;
@@ -606,9 +597,8 @@ int Server::run() {
     }
 
     // Graceful exit: whatever stopped the loop (shutdown request,
-    // SIGINT/SIGTERM, idle timeout), the entailment cache reaches disk
-    // through the store's atomic-rename writes and the socket is gone.
-    flush_store();
+    // SIGINT/SIGTERM, idle timeout), the socket is gone. Verdicts reached
+    // the store at verify time.
     conns_.clear();
     listener_->close_and_unlink();
     return 0;

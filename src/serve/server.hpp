@@ -4,9 +4,9 @@
 // requests:
 //
 //   * one shared solver::EntailCache (as a batch run would have),
-//   * the persistent incr::ArtifactStore (entail cache loaded at start,
-//     flushed on shutdown; verdicts written at verify time so a later
-//     cold `svlc batch --store` warm-skips unchanged jobs),
+//   * the persistent incr::ArtifactStore (verdicts written at verify
+//     time, so a later cold `svlc batch --store` warm-skips unchanged
+//     jobs),
 //   * a server-wide LRU table of sessions, each owning an elaborated
 //     pipeline::Compilation plus the rendered outcome of its last
 //     verify, keyed by (buffer name, top, checker options).
@@ -52,10 +52,9 @@ struct ServeOptions {
     /// unlimited.
     uint64_t default_timeout_ms = 0;
     size_t cache_capacity = solver::EntailCache::kDefaultCapacity;
-    size_t store_entail_budget = incr::StoreOptions{}.entail_budget;
     /// Checker configuration baseline; per-request options overlay it.
     check::CheckOptions default_check;
-    /// SIGINT/SIGTERM trigger a graceful (store-flushing) shutdown.
+    /// SIGINT/SIGTERM trigger a graceful shutdown.
     /// Tests hosting the server on a thread turn this off.
     bool install_signal_handlers = true;
 };
@@ -111,7 +110,6 @@ private:
                             const std::string& top,
                             const check::CheckOptions& copts);
     void touch(Session& s);
-    void flush_store();
 
     ServeOptions opts_;
     solver::EntailCache cache_;

@@ -2,6 +2,8 @@
 // construction and the deadline test.
 #include "solver/backend.hpp"
 
+#include "solver/backend_cdcl.hpp"
+
 #include <sstream>
 
 namespace svlc::solver {
@@ -10,8 +12,6 @@ const char* backend_id(BackendKind kind) {
     switch (kind) {
     case BackendKind::Enum:
         return "enum";
-    case BackendKind::Prune:
-        return "prune";
     case BackendKind::Cdcl:
         return "cdcl";
     }
@@ -21,8 +21,6 @@ const char* backend_id(BackendKind kind) {
 std::optional<BackendKind> parse_backend(std::string_view name) {
     if (name == "enum")
         return BackendKind::Enum;
-    if (name == "prune")
-        return BackendKind::Prune;
     if (name == "cdcl")
         return BackendKind::Cdcl;
     return std::nullopt;
@@ -60,26 +58,10 @@ Witness make_witness(const EnumProblem& p, const Assignment& asg,
 } // namespace backend_detail
 
 std::unique_ptr<EntailBackend> make_enum_backend();
-std::unique_ptr<EntailBackend> make_prune_backend();
-std::unique_ptr<EntailBackend> make_cdcl_backend(bool arena_terms,
-                                                 bool packed_eval);
 
 std::unique_ptr<EntailBackend> make_backend(BackendKind kind) {
-    return make_backend(kind, EntailOptions{});
-}
-
-std::unique_ptr<EntailBackend> make_backend(BackendKind kind,
-                                            const EntailOptions& opts) {
-    switch (kind) {
-    case BackendKind::Prune:
-        return make_prune_backend();
-    case BackendKind::Cdcl:
-        return make_cdcl_backend(opts.cdcl_arena_terms,
-                                 opts.cdcl_packed_eval);
-    case BackendKind::Enum:
-        break;
-    }
-    return make_enum_backend();
+    return kind == BackendKind::Cdcl ? make_cdcl_backend()
+                                     : make_enum_backend();
 }
 
 } // namespace svlc::solver

@@ -7,10 +7,10 @@
 // and breaks the flow?" — is the EnumProblem, and deciding it is the
 // backend's job.
 //
-// Backend contract (checked by tests/differential_test.cpp and the
-// `svlc diff-backends` harness):
-//   * verdict-equivalent: every backend returns the same EntailStatus as
-//     EnumBackend for every problem;
+// Backend contract (checked by tests/backend_test.cpp, tests/cdcl_test.cpp
+// and the `svlc diff-backends` harness):
+//   * verdict-equivalent: the cdcl backend returns the same EntailStatus
+//     as the enum reference for every problem;
 //   * witness-equivalent: a Refuted verdict carries the *first* refuting
 //     candidate in mixed-radix order, so witnesses are identical too;
 //   * sound under "unknown never proves": a candidate whose facts cannot
@@ -58,11 +58,8 @@ public:
     virtual EntailResult enumerate(const EnumProblem& p) = 0;
 };
 
-/// Constructs a backend. The options overload forwards backend-specific
-/// tuning (the CDCL ablation flags); the plain overload uses defaults.
+/// Constructs a backend.
 std::unique_ptr<EntailBackend> make_backend(BackendKind kind);
-std::unique_ptr<EntailBackend> make_backend(BackendKind kind,
-                                            const EntailOptions& opts);
 
 namespace backend_detail {
 

@@ -57,9 +57,6 @@ uint64_t jump_past(uint64_t idx, uint64_t mask) {
 
 class CdclBackend final : public EntailBackend {
 public:
-    CdclBackend(bool arena_terms, bool packed_eval)
-        : arena_terms_(arena_terms), packed_eval_(packed_eval) {}
-
     [[nodiscard]] BackendKind kind() const override {
         return BackendKind::Cdcl;
     }
@@ -72,11 +69,9 @@ private:
     // ------------------------------------------------------------------
     struct EqProp {
         int target = -1; ///< field index forced by the equation
-        const Expr* rhs_expr = nullptr;
         TermProgram rhs;
     };
     struct CFact {
-        const Expr* expr = nullptr;
         TermProgram prog;
         std::vector<EqProp> eqs; ///< `x == E` propagation directions
     };
@@ -113,8 +108,6 @@ private:
     void compile_facts(const EnumProblem& p);
     void compile_atoms(const EnumProblem& p);
 
-    bool arena_terms_;
-    bool packed_eval_;
     Ctx ctx_;
     bool ctx_valid_ = false;
     std::unique_ptr<EntailBackend> fallback_; ///< >63-bit domains (unreachable
@@ -133,12 +126,11 @@ void CdclBackend::compile_facts(const EnumProblem& p) {
     cx.facts.reserve(p.facts.size());
     for (const Expr* f : p.facts) {
         CFact cf;
-        cf.expr = f;
         cf.prog = compile_term(*f, cx.layout, cx.arena);
         // Equation shape `x == E` with x a full enumerated variable: when
-        // E's value becomes known it forces x's bits (this subsumes
-        // prune's `x == const` pinning — a constant E has empty support,
-        // so the implication fires at decision level 0).
+        // E's value becomes known it forces x's bits (`x == const` pins
+        // are the special case: a constant E has empty support, so the
+        // implication fires at decision level 0).
         if (f->kind == ExprKind::Binary && f->bin_op == BinaryOp::Eq) {
             auto add_dir = [&](const Expr& var_side, const Expr& rhs_side) {
                 if (var_side.kind != ExprKind::NetRef)
@@ -148,7 +140,6 @@ void CdclBackend::compile_facts(const EnumProblem& p) {
                     return;
                 EqProp ep;
                 ep.target = fi;
-                ep.rhs_expr = &rhs_side;
                 ep.rhs = compile_term(rhs_side, cx.layout, cx.arena);
                 cf.eqs.push_back(std::move(ep));
             };
@@ -256,10 +247,8 @@ void CdclBackend::refresh_context(const EnumProblem& p) {
 
 class Searcher {
 public:
-    Searcher(CdclBackend::Ctx& cx, const EnumProblem& p, bool arena_terms,
-             bool packed_eval, EntailResult& out)
-        : cx_(cx), p_(p), arena_terms_(arena_terms),
-          packed_eval_(packed_eval), out_(out), gate_(p.deadline),
+    Searcher(CdclBackend::Ctx& cx, const EnumProblem& p, EntailResult& out)
+        : cx_(cx), p_(p), out_(out), gate_(p.deadline),
           full_mask_(cx.layout.full_mask()) {
         remaining_template_.resize(cx_.layout.fields.size());
         for (size_t i = 0; i < cx_.layout.fields.size(); ++i) {
@@ -268,7 +257,6 @@ public:
             for (uint32_t b = 0; b < f.width; ++b)
                 field_of_[f.offset + b] = static_cast<uint8_t>(i);
         }
-        use_mirror_ = !arena_terms_ || !packed_eval_;
     }
 
     enum class Outcome { Found, Unsat, Timeout };
@@ -299,20 +287,9 @@ public:
     Assignment assignment_at(uint64_t idx) const;
 
 private:
-    // --- evaluation (mode-dispatched) ---
-    std::optional<BitVec> eval_fact(const CdclBackend::CFact& f) {
-        if (!arena_terms_)
-            return eval3(*f.expr, mirror_);
-        if (!packed_eval_)
-            return eval_term_map(f.prog, cx_.layout, mirror_, scratch_);
-        return eval_term(f.prog, cx_.layout, values_, assigned_, scratch_);
-    }
-    std::optional<BitVec> eval_eq_rhs(const CdclBackend::EqProp& ep) {
-        if (!arena_terms_)
-            return eval3(*ep.rhs_expr, mirror_);
-        if (!packed_eval_)
-            return eval_term_map(ep.rhs, cx_.layout, mirror_, scratch_);
-        return eval_term(ep.rhs, cx_.layout, values_, assigned_, scratch_);
+    // --- evaluation ---
+    std::optional<BitVec> eval(const TermProgram& prog) {
+        return eval_term(prog, cx_.layout, values_, assigned_, scratch_);
     }
     std::optional<LevelId> eval_side(const std::vector<CdclBackend::CAtom>&);
 
@@ -343,7 +320,6 @@ private:
 
     CdclBackend::Ctx& cx_;
     const EnumProblem& p_;
-    bool arena_terms_, packed_eval_, use_mirror_ = false;
     EntailResult& out_;
     backend_detail::DeadlineGate gate_;
     uint64_t full_mask_ = 0;
@@ -358,7 +334,6 @@ private:
     std::array<Tag, 64> l0_tag_{};
     std::vector<uint8_t> remaining_template_, remaining_;
     std::array<uint8_t, 64> field_of_{};
-    Assignment mirror_;
     TermScratch scratch_;
     std::vector<uint64_t> args_scratch_;
     bool b_clauses_ok_ = false;
@@ -416,17 +391,7 @@ void Searcher::assign(uint8_t bit, bool value, bool decision,
     trail_.push_back({bit, decision, reason});
     if (!decision)
         ++out_.propagations;
-
-    // Mirror maintenance (ablation modes): a variable appears in the map
-    // exactly when every bit of its field is assigned, matching packed
-    // knownness bit for bit.
-    size_t fi = field_of_[bit];
-    if (--remaining_[fi] == 0 && use_mirror_) {
-        const BitLayout::Field& f = cx_.layout.fields[fi];
-        mirror_.set(f.net, f.primed,
-                    BitVec(f.width,
-                           (values_ >> f.offset) & BitVec::mask(f.width)));
-    }
+    --remaining_[field_of_[bit]];
 }
 
 void Searcher::backtrack(uint32_t to_level) {
@@ -441,11 +406,7 @@ void Searcher::backtrack(uint32_t to_level) {
             else
                 cx_.phase &= ~b;
             assigned_ &= ~b;
-            size_t fi = field_of_[s.bit];
-            if (remaining_[fi]++ == 0 && use_mirror_) {
-                const BitLayout::Field& f = cx_.layout.fields[fi];
-                (f.primed ? mirror_.primed : mirror_.plain).erase(f.net);
-            }
+            ++remaining_[field_of_[s.bit]];
             trail_.pop_back();
         }
         --level_;
@@ -476,7 +437,7 @@ Cube Searcher::fact_support_cube(const CdclBackend::CFact& f, Tag tag) const {
 
 std::optional<Cube> Searcher::check_fact(size_t fi) {
     const CdclBackend::CFact& f = cx_.facts[fi];
-    auto v = eval_fact(f);
+    auto v = eval(f.prog);
     if (v && v->is_zero()) {
         // The fact is definitely false given the complete support
         // variables: no candidate matching them is possibly-sat, hence
@@ -494,7 +455,7 @@ std::optional<Cube> Searcher::check_fact(size_t fi) {
         uint64_t tmask = cx_.layout.field_mask(static_cast<size_t>(ep.target));
         if ((assigned_ & tmask) == tmask)
             continue; // target complete; the Eq evaluates on its own
-        auto rv = eval_eq_rhs(ep);
+        auto rv = eval(ep.rhs);
         if (!rv)
             continue;
         uint64_t want = (rv->value() & BitVec::mask(tf.width)) << tf.offset;
@@ -712,7 +673,7 @@ std::optional<Cube> Searcher::classify_leaf(SearchKind kind, bool& definite) {
     ++out_.candidates;
     bool definitely_sat = true;
     for (size_t i = 0; i < cx_.facts.size(); ++i) {
-        auto v = eval_fact(cx_.facts[i]);
+        auto v = eval(cx_.facts[i].prog);
         if (v && v->is_zero())
             return fact_support_cube(cx_.facts[i], Tag{true, false});
         if (!v) {
@@ -758,8 +719,6 @@ Searcher::SearchResult Searcher::search(SearchKind kind) {
     level_ = 0;
     bit_level_.fill(0);
     remaining_ = remaining_template_;
-    mirror_.plain.clear();
-    mirror_.primed.clear();
 
     // Level-0 propagation: constant facts, equation pins with constant
     // right sides, statically-flowing labels, and unit clauses. A
@@ -843,15 +802,13 @@ Searcher::SweepResult Searcher::sweep(bool want_refutation) {
             continue;
 
         values_ = idx;
-        if (use_mirror_)
-            mirror_ = assignment_at(idx);
         ++out_.candidates;
 
         bool definitely_sat = true;
         uint64_t false_support = 0;
         bool possibly_sat = true;
         for (const CdclBackend::CFact& f : cx_.facts) {
-            auto v = eval_fact(f);
+            auto v = eval(f.prog);
             if (v && v->is_zero()) {
                 possibly_sat = false;
                 false_support = f.prog.support;
@@ -927,15 +884,13 @@ EntailResult Searcher::full_sweep() {
             continue;
 
         values_ = idx;
-        if (use_mirror_)
-            mirror_ = assignment_at(idx);
         ++out_.candidates;
 
         bool definitely_sat = true;
         bool possibly_sat = true;
         uint64_t false_support = 0;
         for (const CdclBackend::CFact& f : cx_.facts) {
-            auto v = eval_fact(f);
+            auto v = eval(f.prog);
             if (v && v->is_zero()) {
                 possibly_sat = false;
                 false_support = f.prog.support;
@@ -1005,7 +960,7 @@ EntailResult CdclBackend::enumerate(const EnumProblem& p) {
 
     refresh_context(p);
     EntailResult result;
-    Searcher s(ctx_, p, arena_terms_, packed_eval_, result);
+    Searcher s(ctx_, p, result);
 
     if (p.domain <= kDirectSweepDomain) {
         EntailResult swept = s.full_sweep();
@@ -1071,9 +1026,8 @@ EntailResult CdclBackend::enumerate(const EnumProblem& p) {
 
 } // namespace
 
-std::unique_ptr<EntailBackend> make_cdcl_backend(bool arena_terms,
-                                                 bool packed_eval) {
-    return std::make_unique<CdclBackend>(arena_terms, packed_eval);
+std::unique_ptr<EntailBackend> make_cdcl_backend() {
+    return std::make_unique<CdclBackend>();
 }
 
 } // namespace svlc::solver

@@ -1,7 +1,7 @@
 // CdclBackend: conflict-driven entailment search.
 //
-// Where enum/prune *enumerate* the mixed-radix candidate space, this
-// backend *searches* it: every bit of the packed level tuple (term.hpp)
+// Where the enum reference *enumerates* the mixed-radix candidate space,
+// this production backend *searches* it: every bit of the packed level tuple (term.hpp)
 // is a decision literal, facts propagate (a defining equation `x == E`
 // whose right side becomes known forces x's bits; a fact that becomes
 // definitely false raises a conflict), conflicts are analyzed to the
@@ -33,11 +33,6 @@
 
 namespace svlc::solver {
 
-/// `arena_terms` / `packed_eval` are the bench_solver ablation knobs
-/// (EntailOptions::cdcl_arena_terms / cdcl_packed_eval): decisions,
-/// verdicts, and witnesses are identical in every mode; only the fact
-/// evaluation machinery differs.
-std::unique_ptr<EntailBackend> make_cdcl_backend(bool arena_terms = true,
-                                                 bool packed_eval = true);
+std::unique_ptr<EntailBackend> make_cdcl_backend();
 
 } // namespace svlc::solver

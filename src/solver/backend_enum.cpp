@@ -1,7 +1,7 @@
 // EnumBackend: the reference enumeration procedure. Plain mixed-radix
 // sweep over the candidate space; every fact and label is re-evaluated
 // from scratch for every candidate. Slow but obviously correct — the
-// yardstick PruneBackend is differentially tested against.
+// reference oracle the cdcl backend is differentially tested against.
 #include "solver/backend.hpp"
 
 namespace svlc::solver {

@@ -50,7 +50,7 @@ EntailmentEngine::EntailmentEngine(const Design& design,
                                    const sem::Equations& eqs,
                                    EntailOptions opts)
     : design_(design), eqs_(eqs), opts_(opts),
-      backend_(make_backend(opts_.backend, opts_)) {
+      backend_(make_backend(opts_.backend)) {
     if (opts_.cache) {
         // Entries are shareable only between engines that would run the
         // identical decision procedure: same policy, same budgets, same
@@ -60,13 +60,12 @@ EntailmentEngine::EntailmentEngine(const Design& design,
         // across backends.
         key_prefix_ = policy_fingerprint(design_.policy);
         char buf[128];
-        std::snprintf(buf, sizeof buf, "|o:%u,%llu,%zu,%d,%d%d%d|b:%s%d%d",
+        std::snprintf(buf, sizeof buf, "|o:%u,%llu,%zu,%d,%d%d%d|b:%s",
                       opts_.max_enum_width,
                       static_cast<unsigned long long>(opts_.max_candidates),
                       opts_.max_enum_vars, opts_.closure_depth,
                       opts_.use_equations, opts_.use_primed_equations,
-                      opts_.use_com_equations, backend_id(opts_.backend),
-                      opts_.cdcl_arena_terms, opts_.cdcl_packed_eval);
+                      opts_.use_com_equations, backend_id(opts_.backend));
         key_prefix_ += buf;
     }
 }

@@ -37,22 +37,19 @@ class EntailCache;
 class EntailBackend;
 
 /// Which enumeration backend decides non-syntactic obligations.
-///   Enum  — the reference procedure: plain mixed-radix enumeration.
-///   Prune — verdict-equivalent, faster: unit-propagates `x == const`
-///           facts into the domain, memoizes fact/label evaluation across
-///           candidates, and skips whole subspaces refuted by a fact that
-///           only depends on slow-changing variables.
-///   Cdcl  — verdict-equivalent, fastest: treats the bits of the packed
-///           level tuple as decision literals and searches conflict-driven
-///           (unit propagation over the equation closure, 1UIP clause
-///           learning, restarts with phase saving) instead of enumerating;
-///           learned clauses persist across the obligations of a job while
-///           the fact/label context is unchanged. Refutations are
-///           canonicalized by a clause-guided sweep in mixed-radix order,
-///           so witnesses match enum's bit for bit.
-enum class BackendKind { Enum, Prune, Cdcl };
+///   Cdcl  — the production backend (the default): treats the bits of the
+///           packed level tuple as decision literals and searches
+///           conflict-driven (unit propagation over the equation closure,
+///           1UIP clause learning, restarts with phase saving) instead of
+///           enumerating; learned clauses persist across the obligations
+///           of a job while the fact/label context is unchanged.
+///           Refutations are canonicalized by a clause-guided sweep in
+///           mixed-radix order, so witnesses match enum's bit for bit.
+///   Enum  — the reference oracle: plain mixed-radix enumeration, kept
+///           only to cross-check Cdcl (`svlc diff-backends`).
+enum class BackendKind { Enum, Cdcl };
 
-/// Stable short id ("enum" / "prune" / "cdcl") used in cache keys,
+/// Stable short id ("enum" / "cdcl") used in cache keys,
 /// fingerprints, CLI flags, and JSON reports.
 const char* backend_id(BackendKind kind);
 /// Parses a backend id; nullopt for unknown names.
@@ -86,20 +83,11 @@ struct EntailOptions {
     /// pathological query cannot stall a batch. Default-constructed
     /// time_point (the epoch) disables the deadline.
     std::chrono::steady_clock::time_point deadline{};
-    /// Enumeration backend. All are verdict- and witness-equivalent;
-    /// Cdcl is the fast path, Enum the reference. The id participates in
-    /// cache keys and incremental fingerprints so memoized verdicts never
-    /// cross backends.
-    BackendKind backend = BackendKind::Enum;
-    /// CDCL ablation knobs, measured separately by bench_solver. Both
-    /// default on; turning one off changes only the evaluation machinery
-    /// (verdicts, witnesses, and even decision sequences are identical).
-    ///   cdcl_arena_terms — evaluate facts via arena-compiled flat term
-    ///     programs instead of walking the hir::Expr tree with eval3.
-    ///   cdcl_packed_eval — read variables from the bit-packed candidate
-    ///     word instead of a hash-map Assignment mirror.
-    bool cdcl_arena_terms = true;
-    bool cdcl_packed_eval = true;
+    /// Enumeration backend. Both are verdict- and witness-equivalent;
+    /// Cdcl is the production path, Enum the reference. The id
+    /// participates in cache keys and incremental fingerprints so
+    /// memoized verdicts never cross backends.
+    BackendKind backend = BackendKind::Cdcl;
 };
 
 enum class EntailStatus {
@@ -142,7 +130,7 @@ struct EntailResult {
     /// Set when the engine gave up because EntailOptions::deadline passed
     /// (status is Unknown in that case).
     bool timed_out = false;
-    /// CDCL search telemetry (always zero for enum/prune).
+    /// CDCL search telemetry (always zero for enum).
     uint64_t conflicts = 0;
     uint64_t propagations = 0;
     uint64_t learned_clauses = 0;
@@ -179,7 +167,7 @@ public:
         /// over every engine sharing the cache.
         uint64_t cache_misses = 0;
         /// CDCL search telemetry, summed over enumerations (always zero
-        /// for enum/prune).
+        /// for enum).
         uint64_t conflicts = 0;
         uint64_t propagations = 0;
         uint64_t learned_clauses = 0;

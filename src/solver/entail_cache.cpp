@@ -70,21 +70,6 @@ EntailCache::Stats EntailCache::stats() const {
     return s;
 }
 
-std::vector<std::pair<std::string, EntailCache::ProvenEntry>>
-EntailCache::snapshot() const {
-    std::vector<std::pair<std::string, ProvenEntry>> out;
-    for (const Shard& shard : shards_) {
-        std::lock_guard<std::mutex> lock(
-            const_cast<std::mutex&>(shard.mu));
-        for (const std::string& key : shard.fifo) {
-            auto it = shard.map.find(key);
-            if (it != shard.map.end())
-                out.emplace_back(key, it->second);
-        }
-    }
-    return out;
-}
-
 void EntailCache::clear() {
     for (Shard& shard : shards_) {
         std::lock_guard<std::mutex> lock(shard.mu);

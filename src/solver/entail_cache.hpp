@@ -80,13 +80,6 @@ public:
     [[nodiscard]] Stats stats() const;
     void clear();
 
-    /// Every resident (key, entry) pair, shard by shard, each shard in
-    /// insertion order. Within one shard the order is exactly entry age;
-    /// across shards it is only approximate, which is all the on-disk
-    /// store's oldest-first compaction needs (src/incr).
-    [[nodiscard]] std::vector<std::pair<std::string, ProvenEntry>>
-    snapshot() const;
-
 private:
     static constexpr size_t kShards = 16;
 

@@ -110,12 +110,28 @@ struct Compiler {
     }
 };
 
-/// The shared evaluation core; VarRead supplies the variable-read policy
-/// (packed word vs Assignment map), everything else replicates eval3's
-/// rules instruction for instruction.
-template <typename VarRead>
-std::optional<BitVec> eval_impl(const TermProgram& p, TermScratch& scratch,
-                                VarRead&& read_var) {
+} // namespace
+
+TermProgram compile_term(const Expr& e, const BitLayout& layout,
+                         Arena& arena) {
+    Compiler c{layout, {}, 0, 0, 0};
+    c.compile(e);
+    TermProgram p;
+    p.size = static_cast<uint32_t>(c.code.size());
+    p.max_stack = c.max_depth;
+    p.support = c.support;
+    TermInstr* code = arena.allocate<TermInstr>(c.code.size());
+    for (size_t i = 0; i < c.code.size(); ++i)
+        code[i] = c.code[i];
+    p.code = code;
+    return p;
+}
+
+/// Replicates eval3's rules instruction for instruction; a variable reads
+/// as known iff every bit of its field is assigned.
+std::optional<BitVec> eval_term(const TermProgram& p, const BitLayout& layout,
+                                uint64_t values, uint64_t assigned,
+                                TermScratch& scratch) {
     auto& st = scratch.stack;
     st.clear();
     if (st.capacity() < p.max_stack)
@@ -128,9 +144,16 @@ std::optional<BitVec> eval_impl(const TermProgram& p, TermScratch& scratch,
         case TermOp::Const:
             st.push_back(Val{true, BitVec(i.width, i.imm)});
             break;
-        case TermOp::Var:
-            st.push_back(read_var(i));
+        case TermOp::Var: {
+            const BitLayout::Field& f =
+                layout.fields[static_cast<size_t>(i.var)];
+            uint64_t fmask = BitVec::mask(f.width);
+            bool known = ((assigned >> f.offset) & fmask) == fmask;
+            st.push_back(Val{known, known ? BitVec(f.width,
+                                                   (values >> f.offset) & fmask)
+                                          : BitVec()});
             break;
+        }
         case TermOp::Unknown:
             st.push_back(Val{false, BitVec()});
             break;
@@ -245,46 +268,6 @@ std::optional<BitVec> eval_impl(const TermProgram& p, TermScratch& scratch,
     if (!st.back().known)
         return std::nullopt;
     return st.back().v;
-}
-
-} // namespace
-
-TermProgram compile_term(const Expr& e, const BitLayout& layout,
-                         Arena& arena) {
-    Compiler c{layout, {}, 0, 0, 0};
-    c.compile(e);
-    TermProgram p;
-    p.size = static_cast<uint32_t>(c.code.size());
-    p.max_stack = c.max_depth;
-    p.support = c.support;
-    TermInstr* code = arena.allocate<TermInstr>(c.code.size());
-    for (size_t i = 0; i < c.code.size(); ++i)
-        code[i] = c.code[i];
-    p.code = code;
-    return p;
-}
-
-std::optional<BitVec> eval_term(const TermProgram& p, const BitLayout& layout,
-                                uint64_t values, uint64_t assigned,
-                                TermScratch& scratch) {
-    return eval_impl(p, scratch, [&](const TermInstr& i) {
-        const BitLayout::Field& f = layout.fields[static_cast<size_t>(i.var)];
-        uint64_t fmask = BitVec::mask(f.width);
-        bool known = (((assigned >> f.offset) & fmask) == fmask);
-        uint64_t v = (values >> f.offset) & fmask;
-        return TermScratch::Val{known, known ? BitVec(f.width, v) : BitVec()};
-    });
-}
-
-std::optional<BitVec> eval_term_map(const TermProgram& p,
-                                    const BitLayout& layout,
-                                    const Assignment& asg,
-                                    TermScratch& scratch) {
-    return eval_impl(p, scratch, [&](const TermInstr& i) {
-        const BitLayout::Field& f = layout.fields[static_cast<size_t>(i.var)];
-        auto v = asg.get(f.net, f.primed);
-        return TermScratch::Val{v.has_value(), v ? *v : BitVec()};
-    });
 }
 
 } // namespace svlc::solver

@@ -1,6 +1,6 @@
 // Compiled solver terms.
 //
-// The enumeration backends evaluate the same fact expressions millions of
+// The cdcl backend evaluates the same fact expressions millions of
 // times with only the candidate assignment changing. This module compiles
 // an hir::Expr once into a flat postfix instruction sequence (bump-
 // allocated in an Arena, so a whole fact set is contiguous in memory) and
@@ -110,12 +110,5 @@ struct TermScratch {
 std::optional<BitVec> eval_term(const TermProgram& p, const BitLayout& layout,
                                 uint64_t values, uint64_t assigned,
                                 TermScratch& scratch);
-
-/// Map-mode evaluation (the bit-packing ablation): the same compiled
-/// program, but variable reads go through an Assignment like eval3's.
-std::optional<BitVec> eval_term_map(const TermProgram& p,
-                                    const BitLayout& layout,
-                                    const Assignment& asg,
-                                    TermScratch& scratch);
 
 } // namespace svlc::solver

@@ -11,16 +11,19 @@ NIResult test_noninterference(const Design& design, const NIConfig& cfg) {
     NIResult result;
     const Lattice& lat = design.policy.lattice();
 
-    // Partition primary inputs.
-    std::vector<NetId> low_inputs, high_inputs;
+    // Partition primary inputs. An input whose label is static is low
+    // (held identical) or high (varied) for the whole run; one whose
+    // label is a function of state is classified again every cycle.
+    std::vector<NetId> low_inputs, high_inputs, dependent_inputs;
     for (const Net& net : design.nets) {
         if (!net.is_input)
             continue;
         bool pinned = std::find(cfg.pinned.begin(), cfg.pinned.end(),
                                 net.id) != cfg.pinned.end();
-        // Dependent input labels are conservatively treated as high
-        // unless every level in the function range flows to the observer.
+        // A dependent label whose whole function range flows to the
+        // observer is low in every state.
         bool low = true;
+        bool dependent = false;
         for (const LabelAtom& atom : net.label.atoms) {
             if (atom.kind == LabelAtom::Kind::Level) {
                 low = low && lat.flows(atom.level, cfg.observer);
@@ -30,10 +33,13 @@ NIResult test_noninterference(const Design& design, const NIConfig& cfg) {
                 for (const auto& e : fn.entries())
                     range_low = range_low && lat.flows(e.level, cfg.observer);
                 low = low && range_low;
+                dependent = true;
             }
         }
         if (pinned || low)
             low_inputs.push_back(net.id);
+        else if (dependent)
+            dependent_inputs.push_back(net.id);
         else
             high_inputs.push_back(net.id);
     }
@@ -50,6 +56,19 @@ NIResult test_noninterference(const Design& design, const NIConfig& cfg) {
             for (NetId in : high_inputs) {
                 a.set_input(in, BitVec(design.net(in).width, rng()));
                 b.set_input(in, BitVec(design.net(in).width, rng()));
+            }
+            // A dependent-label input is low this cycle exactly when its
+            // label, evaluated in each run's current state, flows to the
+            // observer in both runs.
+            for (NetId in : dependent_inputs) {
+                uint32_t width = design.net(in).width;
+                BitVec v(width, rng());
+                a.set_input(in, v);
+                if (lat.flows(a.current_label(in), cfg.observer) &&
+                    lat.flows(b.current_label(in), cfg.observer))
+                    b.set_input(in, v);
+                else
+                    b.set_input(in, BitVec(width, rng()));
             }
             if (cfg.driver) {
                 cfg.driver(a, cycle);

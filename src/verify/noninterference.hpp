@@ -4,7 +4,9 @@
 //
 // Dual-run tester: two simulations of the same design receive identical
 // values on inputs the adversary-level observer may depend on, and
-// independently random values on inputs above the observer's level. Every
+// independently random values on inputs above the observer's level. An
+// input with a dependent label is classified cycle by cycle: it is shared
+// while its label, evaluated in both runs, flows to the observer. Every
 // cycle, any net whose (dependent, run-time evaluated) label flows to the
 // observer must agree between the runs; a disagreement is an information
 // leak. Well-typed designs must pass; the Fig. 3 implicit-downgrading

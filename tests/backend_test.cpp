@@ -1,5 +1,4 @@
-// Pluggable entailment-backend tests: the enum/prune/cdcl differential
-// contract over the whole corpus, budget-ablation soundness (tightening a
+// Entailment-backend tests: the enum-vs-cdcl differential contract over the whole corpus, budget-ablation soundness (tightening a
 // solver budget can only surrender precision, never flip a verdict),
 // stable obligation ids, resolvable obligation locations, and
 // counterexample-witness round-trips through JSON and the artifact store.
@@ -52,8 +51,7 @@ TEST(BackendDifferential, IdenticalWitnessOnFig3) {
     std::string fig3 =
         std::string(SVLC_HDL_DIR) + "/fig3_implicit_downgrade.svlc";
     std::map<BackendKind, std::vector<std::string>> details;
-    for (BackendKind kind :
-         {BackendKind::Enum, BackendKind::Prune, BackendKind::Cdcl}) {
+    for (BackendKind kind : {BackendKind::Enum, BackendKind::Cdcl}) {
         pipeline::CompilationOptions opts;
         opts.check.solver.backend = kind;
         pipeline::Compilation comp(std::move(opts));
@@ -69,7 +67,6 @@ TEST(BackendDifferential, IdenticalWitnessOnFig3) {
             }
     }
     EXPECT_FALSE(details[BackendKind::Enum].empty());
-    EXPECT_EQ(details[BackendKind::Enum], details[BackendKind::Prune]);
     EXPECT_EQ(details[BackendKind::Enum], details[BackendKind::Cdcl]);
 }
 
@@ -103,8 +100,7 @@ TEST(BudgetAblation, TighteningNeverFlipsAVerdict) {
             files.push_back(e.path().string());
     ASSERT_FALSE(files.empty());
 
-    for (BackendKind kind :
-         {BackendKind::Enum, BackendKind::Prune, BackendKind::Cdcl}) {
+    for (BackendKind kind : {BackendKind::Enum, BackendKind::Cdcl}) {
         check::CheckOptions base;
         base.solver.backend = kind;
 
@@ -155,11 +151,11 @@ TEST(BudgetAblation, TighteningNeverFlipsAVerdict) {
 TEST(ObligationIds, DeterministicAcrossRunsAndBackends) {
     for (const auto& job : corpus_jobs()) {
         std::vector<std::vector<std::string>> runs;
-        // Prune twice (same-backend determinism) plus enum once
+        // Cdcl twice (same-backend determinism) plus enum once
         // (cross-backend agreement); a second enum pass would re-pay the
-        // full un-pruned enumeration for no extra coverage.
-        for (BackendKind kind : {BackendKind::Prune, BackendKind::Enum,
-                                 BackendKind::Prune}) {
+        // full enumeration for no extra coverage.
+        for (BackendKind kind : {BackendKind::Cdcl, BackendKind::Enum,
+                                 BackendKind::Cdcl}) {
             pipeline::CompilationOptions opts;
             opts.top = job.top;
             opts.check.solver.backend = kind;
@@ -213,7 +209,7 @@ TEST(ObligationLocs, EveryCorpusObligationResolvesToASource) {
         pipeline::CompilationOptions opts;
         opts.top = job.top;
         // Locations are backend-independent; take the fast one.
-        opts.check.solver.backend = BackendKind::Prune;
+        opts.check.solver.backend = BackendKind::Cdcl;
         pipeline::Compilation comp(std::move(opts));
         if (job.source.empty())
             ASSERT_TRUE(comp.load_file(job.path)) << job.name;

@@ -1,9 +1,8 @@
 // CDCL backend tests: the compiled-term/eval3 equivalence contract, the
 // adversarial corners of the conflict-driven search (empty enumeration
 // set, deadline expiry mid-search, closure truncation), search-telemetry
-// counters (zero for enum/prune), learned-clause reuse across repeated
-// and label-changed queries, and the ablation-mode identity (arena /
-// packed evaluation change machinery, never verdicts).
+// counters (zero for enum), and learned-clause reuse across repeated and
+// label-changed queries.
 #include "sem/updates.hpp"
 #include "solver/arena.hpp"
 #include "solver/backend.hpp"
@@ -117,15 +116,11 @@ TEST(CompiledTerms, EquivalentToEval3UnderPartialAssignments) {
             auto ref = eval3(*e, asg);
             auto packed =
                 solver::eval_term(prog, layout, values, assigned, scratch);
-            auto mapped = solver::eval_term_map(prog, layout, asg, scratch);
             ASSERT_EQ(ref.has_value(), packed.has_value())
                 << "trial " << trial << " packed knownness diverged";
-            ASSERT_EQ(ref.has_value(), mapped.has_value())
-                << "trial " << trial << " map-mode knownness diverged";
             if (ref) {
                 EXPECT_EQ(ref->value(), packed->value()) << "trial " << trial;
                 EXPECT_EQ(ref->width(), packed->width()) << "trial " << trial;
-                EXPECT_EQ(ref->value(), mapped->value()) << "trial " << trial;
             }
         }
         if (trial % 50 == 49)
@@ -223,9 +218,9 @@ TEST(CdclAdversarial, DeadlineExpiryMidSearchFiresWithin1024) {
     // every backend, even though the check is amortized to every 1024th
     // candidate (the DeadlineGate hoist). The fact (x8 & y8) == 255 puts
     // the only satisfying candidate at the very top of the 2^16 space and
-    // its support spans every bit, which defeats both prune's stride
-    // jumps and cdcl's clause-guided sweep jumps — every backend must
-    // walk candidate by candidate and hit the gate.
+    // its support spans every bit, which defeats cdcl's clause-guided
+    // sweep jumps — every backend must walk candidate by candidate and
+    // hit the gate.
     ProblemFixture fx;
     SolverLabel lt = SolverLabel::level(fx.t), lu = SolverLabel::level(fx.u);
     ExprPtr fact = Expr::make_binary(
@@ -238,18 +233,17 @@ TEST(CdclAdversarial, DeadlineExpiryMidSearchFiresWithin1024) {
     p.vars = {{fx.net("x8"), false, 8}, {fx.net("y8"), false, 8}};
     p.domain = uint64_t{1} << 16;
 
-    // Sanity first: without a deadline all three agree on the refutation
-    // at the top of the space (x8=255 y8=255).
+    // Sanity first: without a deadline both agree on the refutation at
+    // the top of the space (x8=255 y8=255).
     EntailResult ref = solver::make_backend(BackendKind::Enum)->enumerate(p);
     EXPECT_EQ(ref.status, EntailStatus::Refuted);
     ASSERT_TRUE(ref.witness.has_value());
-    for (BackendKind kind : {BackendKind::Prune, BackendKind::Cdcl})
-        expect_same_result(ref, solver::make_backend(kind)->enumerate(p),
-                           solver::backend_id(kind));
+    expect_same_result(ref,
+                       solver::make_backend(BackendKind::Cdcl)->enumerate(p),
+                       "cdcl");
 
     p.deadline = std::chrono::steady_clock::now() - std::chrono::seconds(1);
-    for (BackendKind kind :
-         {BackendKind::Enum, BackendKind::Prune, BackendKind::Cdcl}) {
+    for (BackendKind kind : {BackendKind::Enum, BackendKind::Cdcl}) {
         auto be = solver::make_backend(kind);
         EntailResult r = be->enumerate(p);
         EXPECT_EQ(r.status, EntailStatus::Unknown) << be->id();
@@ -322,8 +316,7 @@ TEST(CdclCounters, SearchTelemetryIsObservableAndZeroForEnumPrune) {
     SolverLabel lt = SolverLabel::level(fx.level("T"));
 
     EntailResult reference;
-    for (BackendKind kind :
-         {BackendKind::Enum, BackendKind::Prune, BackendKind::Cdcl}) {
+    for (BackendKind kind : {BackendKind::Enum, BackendKind::Cdcl}) {
         EntailOptions opts;
         opts.backend = kind;
         EntailmentEngine engine(fx.design(), fx.eqs, opts);
@@ -392,10 +385,9 @@ TEST(CdclAdversarial, ClosureTruncationDegradesIdenticallyToEnum) {
     // that "proves" past a truncated closure would be unsound.
     EngineFixture fx(kModeSwitch);
     for (bool ablate : {false, true}) {
-        EntailResult by_kind[3];
+        EntailResult by_kind[2];
         int i = 0;
-        for (BackendKind kind :
-             {BackendKind::Enum, BackendKind::Prune, BackendKind::Cdcl}) {
+        for (BackendKind kind : {BackendKind::Enum, BackendKind::Cdcl}) {
             EntailOptions opts;
             opts.backend = kind;
             opts.use_equations = !ablate;
@@ -405,8 +397,7 @@ TEST(CdclAdversarial, ClosureTruncationDegradesIdenticallyToEnum) {
             EXPECT_EQ(by_kind[0].status, EntailStatus::Proven);
         else
             EXPECT_NE(by_kind[0].status, EntailStatus::Proven);
-        expect_same_result(by_kind[0], by_kind[1], "prune");
-        expect_same_result(by_kind[0], by_kind[2], "cdcl");
+        expect_same_result(by_kind[0], by_kind[1], "cdcl");
     }
 }
 
@@ -433,7 +424,9 @@ TEST(CdclClauses, ReuseAcrossRepeatAndLabelChangedQueries) {
     std::vector<std::pair<SolverLabel, SolverLabel>> queries{
         {lu, lt}, {lu, lt}, {lt, lu}, {lu, lt}};
     for (size_t qi = 0; qi < queries.size(); ++qi) {
-        EntailmentEngine fresh_enum(fx.design(), fx.eqs, EntailOptions{});
+        EntailOptions eopts;
+        eopts.backend = BackendKind::Enum;
+        EntailmentEngine fresh_enum(fx.design(), fx.eqs, eopts);
         EntailResult ref = fresh_enum.check_flow(queries[qi].first,
                                                  queries[qi].second, facts);
         EntailResult got =
@@ -441,55 +434,6 @@ TEST(CdclClauses, ReuseAcrossRepeatAndLabelChangedQueries) {
         expect_same_result(ref, got,
                            ("query " + std::to_string(qi)).c_str());
     }
-}
-
-TEST(CdclAblation, EvaluationModesNeverChangeResultsOrDecisions) {
-    // cdcl_arena_terms / cdcl_packed_eval swap the fact-evaluation
-    // machinery only. All four combinations must produce identical
-    // verdicts, witnesses, notes, *and* search counters — identical
-    // counters mean the decision/propagation sequences themselves agree,
-    // not just the outcomes.
-    EngineFixture fx(kTwoFiveBit);
-    hir::NetId x = fx.design().find_net("x"), y = fx.design().find_net("y");
-    auto f1 = Expr::make_binary(BinaryOp::Eq, Expr::make_net(x, 5, false),
-                                Expr::make_const(BitVec(5, 5)));
-    auto f2 = Expr::make_binary(
-        BinaryOp::Lt, Expr::make_net(y, 5, false),
-        Expr::make_binary(BinaryOp::Add, Expr::make_net(x, 5, false),
-                          Expr::make_const(BitVec(5, 3))));
-    std::vector<const Expr*> facts{f1.get(), f2.get()};
-    SolverLabel lu = SolverLabel::level(fx.level("U"));
-    SolverLabel lt = SolverLabel::level(fx.level("T"));
-
-    EntailResult reference;
-    uint64_t ref_counters[4] = {};
-    bool have_reference = false;
-    for (bool arena : {true, false})
-        for (bool packed : {true, false}) {
-            EntailOptions opts;
-            opts.backend = BackendKind::Cdcl;
-            opts.cdcl_arena_terms = arena;
-            opts.cdcl_packed_eval = packed;
-            EntailmentEngine engine(fx.design(), fx.eqs, opts);
-            EntailResult r = engine.check_flow(lu, lt, facts);
-            const char* what = arena ? (packed ? "full" : "arena-only")
-                                     : (packed ? "packed-only" : "neither");
-            if (!have_reference) {
-                reference = r;
-                ref_counters[0] = r.conflicts;
-                ref_counters[1] = r.propagations;
-                ref_counters[2] = r.learned_clauses;
-                ref_counters[3] = r.restarts;
-                have_reference = true;
-                EXPECT_EQ(r.status, EntailStatus::Refuted) << what;
-                continue;
-            }
-            expect_same_result(reference, r, what);
-            EXPECT_EQ(r.conflicts, ref_counters[0]) << what;
-            EXPECT_EQ(r.propagations, ref_counters[1]) << what;
-            EXPECT_EQ(r.learned_clauses, ref_counters[2]) << what;
-            EXPECT_EQ(r.restarts, ref_counters[3]) << what;
-        }
 }
 
 } // namespace

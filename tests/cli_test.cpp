@@ -49,6 +49,13 @@ TEST(Cli, FlagTheCommandDoesNotTakeIsAUsageError) {
                        "sim: unknown option '--solver'");
     expect_usage_error("hunt-corpus --seed 3",
                        "hunt-corpus: unknown option '--seed'");
+    // `batch --warm` and the `prune` backend no longer exist; an unknown
+    // backend's message names the ones that do.
+    expect_usage_error("batch " + kFig4 + " --warm",
+                       "batch: unknown option '--warm'");
+    expect_usage_error("check " + kFig4 + " --solver prune",
+                       "--solver: unknown backend 'prune' (expected one of: "
+                       "enum, cdcl)");
     // Removed commands are unknown commands.
     expect_usage_error("coordinator --socket /tmp/x hdl/", "usage:");
     expect_usage_error("worker --connect /tmp/x", "usage:");

@@ -1,6 +1,6 @@
 // Persistent incremental verification (src/incr): fingerprint
-// definition, verdict round-trips, entailment-cache persistence with
-// budgeted oldest-first compaction, corruption recovery, and the driver
+// definition, verdict round-trips, corruption recovery, retired-artifact
+// discards, and the driver
 // integration (fingerprint skips, single-job invalidation, byte-identical
 // verdict sets).
 #include "incr/fingerprint.hpp"
@@ -154,7 +154,7 @@ TEST(IncrFingerprint, SensitiveToEveryVerdictInput) {
 // --- verdict store ---------------------------------------------------------
 
 TEST_F(IncrTest, VerdictRoundTrip) {
-    ArtifactStore store({store_dir(), 1024});
+    ArtifactStore store({store_dir()});
     std::string error;
     ASSERT_TRUE(store.open(error)) << error;
 
@@ -184,52 +184,64 @@ TEST_F(IncrTest, VerdictRoundTrip) {
     EXPECT_EQ(s.corrupt_discarded, 0u);
 
     // Reopening (fresh process) sees the same record.
-    ArtifactStore reopened({store_dir(), 1024});
+    ArtifactStore reopened({store_dir()});
     ASSERT_TRUE(reopened.open(error)) << error;
     ASSERT_TRUE(reopened.load_verdict(fp).has_value());
 }
 
 TEST_F(IncrTest, CorruptVerdictIsDiscardedNotReplayed) {
-    ArtifactStore store({store_dir(), 1024});
+    ArtifactStore store({store_dir()});
     std::string error;
     ASSERT_TRUE(store.open(error)) << error;
 
     std::string fp = sha256_hex("doomed");
+    fs::path file =
+        fs::path(store_dir()) / "v2" / "verdicts" / fp.substr(0, 2) / fp;
     StoredVerdict v;
-    v.secure = true;
+    v.secure = false;
     v.obligations = 3;
+    v.failed = 1;
+    v.diagnostics = "error: flow violation\n";
+    pipeline::ObligationRecord rec;
+    rec.id = "m.r#0";
+    rec.status = "refuted";
+    rec.witness.push_back({"mode", true, 1});
+    v.flagged.push_back(rec);
     ASSERT_TRUE(store.store_verdict(fp, v));
+    std::string valid;
+    ASSERT_TRUE(read_file(file.string(), valid));
+    ASSERT_FALSE(valid.empty());
 
-    // Flip one payload byte: checksum mismatch → discarded and deleted.
-    fs::path file;
-    for (const auto& e :
-         fs::recursive_directory_iterator(fs::path(store_dir()) / "v2" /
-                                          "verdicts"))
-        if (e.is_regular_file())
-            file = e.path();
-    ASSERT_FALSE(file.empty());
-    {
-        std::fstream f(file, std::ios::in | std::ios::out |
-                                 std::ios::binary);
-        f.seekp(static_cast<std::streamoff>(
-            std::string(incr::kStoreFormat).size() + 10));
-        f.put('X');
+    // Every damaged variant of a valid record — each proper prefix and
+    // each single-byte flip — fails closed: a miss, one corrupt discard,
+    // and the file is gone.
+    auto expect_discarded = [&](const std::string& bytes,
+                                const std::string& what) {
+        ASSERT_TRUE(write_file_atomic(file.string(), bytes)) << what;
+        uint64_t before = store.stats().corrupt_discarded;
+        EXPECT_FALSE(store.load_verdict(fp).has_value()) << what;
+        EXPECT_EQ(store.stats().corrupt_discarded, before + 1) << what;
+        EXPECT_FALSE(fs::exists(file)) << what;
+    };
+    for (size_t len = 0; len < valid.size(); ++len)
+        expect_discarded(valid.substr(0, len),
+                         "truncated to " + std::to_string(len));
+    for (size_t i = 0; i < valid.size(); ++i) {
+        std::string flipped = valid;
+        flipped[i] = static_cast<char>(flipped[i] ^ 0x01);
+        expect_discarded(flipped, "byte " + std::to_string(i) + " flipped");
     }
-    EXPECT_FALSE(store.load_verdict(fp).has_value());
-    EXPECT_EQ(store.stats().corrupt_discarded, 1u);
-    EXPECT_FALSE(fs::exists(file));
 
-    // Truncation likewise fails closed.
-    ASSERT_TRUE(store.store_verdict(fp, v));
-    fs::resize_file(fs::path(store_dir()) / "v2" / "verdicts" /
-                        fp.substr(0, 2) / fp,
-                    12);
-    EXPECT_FALSE(store.load_verdict(fp).has_value());
-    EXPECT_EQ(store.stats().corrupt_discarded, 2u);
+    // The intact record still replays.
+    ASSERT_TRUE(write_file_atomic(file.string(), valid));
+    auto got = store.load_verdict(fp);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(incr::encode_stored_verdict(*got),
+              incr::encode_stored_verdict(v));
 }
 
 TEST_F(IncrTest, VersionMismatchedStoreIsRebuilt) {
-    ArtifactStore store({store_dir(), 1024});
+    ArtifactStore store({store_dir()});
     std::string error;
     ASSERT_TRUE(store.open(error)) << error;
     std::string fp = sha256_hex("old generation");
@@ -239,90 +251,13 @@ TEST_F(IncrTest, VersionMismatchedStoreIsRebuilt) {
         (fs::path(store_dir()) / "v2" / "FORMAT").string(),
         "svlc-store/v999\n"));
 
-    ArtifactStore next({store_dir(), 1024});
+    ArtifactStore next({store_dir()});
     ASSERT_TRUE(next.open(error)) << error;
     EXPECT_EQ(next.stats().corrupt_discarded, 1u);
     EXPECT_FALSE(next.load_verdict(fp).has_value()); // wiped, not misread
     // And the store is usable again immediately.
     ASSERT_TRUE(next.store_verdict(fp, {}));
     EXPECT_TRUE(next.load_verdict(fp).has_value());
-}
-
-// --- entailment-cache persistence ------------------------------------------
-
-TEST_F(IncrTest, EntailCachePersistsAcrossStores) {
-    solver::EntailCache cache;
-    cache.insert("key-one\nwith newline", {100});
-    cache.insert("key-two", {200});
-
-    ArtifactStore store({store_dir(), 1024});
-    std::string error;
-    ASSERT_TRUE(store.open(error)) << error;
-    EXPECT_EQ(store.flush_entail(cache), 2u);
-
-    solver::EntailCache warm;
-    ArtifactStore reopened({store_dir(), 1024});
-    ASSERT_TRUE(reopened.open(error)) << error;
-    EXPECT_EQ(reopened.load_entail(warm), 2u);
-    auto one = warm.lookup("key-one\nwith newline");
-    auto two = warm.lookup("key-two");
-    ASSERT_TRUE(one.has_value());
-    ASSERT_TRUE(two.has_value());
-    EXPECT_EQ(one->candidates, 100u);
-    EXPECT_EQ(two->candidates, 200u);
-}
-
-TEST_F(IncrTest, EntailBudgetEvictsOldestFirst) {
-    ArtifactStore store({store_dir(), 6});
-    std::string error;
-    ASSERT_TRUE(store.open(error)) << error;
-
-    solver::EntailCache first;
-    for (int i = 0; i < 5; ++i)
-        first.insert("old-" + std::to_string(i), {1});
-    EXPECT_EQ(store.flush_entail(first), 5u);
-
-    solver::EntailCache second;
-    for (int i = 0; i < 5; ++i)
-        second.insert("new-" + std::to_string(i), {2});
-    // 5 old + 5 new = 10, budget 6 → the 4 oldest (file front) drop.
-    EXPECT_EQ(store.flush_entail(second), 6u);
-    EXPECT_EQ(store.stats().entail_evicted, 4u);
-
-    solver::EntailCache warm;
-    ArtifactStore reopened({store_dir(), 6});
-    ASSERT_TRUE(reopened.open(error)) << error;
-    EXPECT_EQ(reopened.load_entail(warm), 6u);
-    // Every new-generation entry survived; old ones were evicted first.
-    for (int i = 0; i < 5; ++i)
-        EXPECT_TRUE(warm.lookup("new-" + std::to_string(i)).has_value())
-            << i;
-    size_t old_survivors = 0;
-    for (int i = 0; i < 5; ++i)
-        old_survivors +=
-            warm.lookup("old-" + std::to_string(i)).has_value();
-    EXPECT_EQ(old_survivors, 1u);
-}
-
-TEST_F(IncrTest, CorruptEntailFileLoadsAsEmpty) {
-    ArtifactStore store({store_dir(), 1024});
-    std::string error;
-    ASSERT_TRUE(store.open(error)) << error;
-    solver::EntailCache cache;
-    cache.insert("a-key", {1});
-    ASSERT_EQ(store.flush_entail(cache), 1u);
-
-    fs::path file = fs::path(store_dir()) / "v2" / "entail.cache";
-    fs::resize_file(file, 30);
-
-    solver::EntailCache warm;
-    EXPECT_EQ(store.load_entail(warm), 0u);
-    EXPECT_EQ(store.stats().corrupt_discarded, 1u);
-    EXPECT_EQ(warm.stats().entries, 0u);
-    // The next flush rebuilds the file from scratch.
-    EXPECT_EQ(store.flush_entail(cache), 1u);
-    solver::EntailCache again;
-    EXPECT_EQ(store.load_entail(again), 1u);
 }
 
 // --- store codec -----------------------------------------------------------
@@ -362,7 +297,7 @@ TEST_F(IncrTest, LegacyV1StoreIsDiscardedWholesale) {
     fs::copy(fixture, dir_ / "store", fs::copy_options::recursive);
     ASSERT_TRUE(fs::exists(fs::path(store_dir()) / "v1" / "FORMAT"));
 
-    ArtifactStore store({store_dir(), 1024});
+    ArtifactStore store({store_dir()});
     std::string error;
     ASSERT_TRUE(store.open(error)) << error;
     EXPECT_EQ(store.stats().legacy_discarded, 1u);
@@ -377,16 +312,16 @@ TEST_F(IncrTest, LegacyV1StoreIsDiscardedWholesale) {
     EXPECT_TRUE(store.load_verdict(fp).has_value());
 
     // A second open is clean: no v1/ left, no second discard.
-    ArtifactStore again({store_dir(), 1024});
+    ArtifactStore again({store_dir()});
     ASSERT_TRUE(again.open(error)) << error;
     EXPECT_EQ(again.stats().legacy_discarded, 0u);
 }
 
 TEST_F(IncrTest, RetiredObligationTreeIsDiscardedAndJobsStillWarmSkip) {
     // A store written by a build that also kept per-obligation records
-    // under v2/obligations/: the job records and entail.cache are still
-    // valid, so every job warm-skips, and the retired tree is removed
-    // wholesale on open().
+    // under v2/obligations/: the job records are still valid, so every
+    // job warm-skips, and the retired tree is removed wholesale on
+    // open().
     std::string a = write("a.svlc", kSecure);
     std::string b = write("b.svlc", kRejected);
     std::vector<JobSpec> jobs = {{a, a, "", "", 0}, {b, b, "", "", 0}};
@@ -403,6 +338,33 @@ TEST_F(IncrTest, RetiredObligationTreeIsDiscardedAndJobsStillWarmSkip) {
     VerificationDriver drv(opts);
     ASSERT_NE(drv.store(), nullptr);
     EXPECT_FALSE(fs::exists(fs::path(store_dir()) / "v2" / "obligations"));
+    BatchReport warm = drv.run(jobs);
+    EXPECT_EQ(warm.skipped_count(), jobs.size());
+    EXPECT_EQ(warm.store.legacy_discarded, 1u);
+    EXPECT_EQ(warm.store.corrupt_discarded, 0u);
+    EXPECT_EQ(cold.to_json(false), warm.to_json(false));
+}
+
+TEST_F(IncrTest, RetiredEntailCacheIsRemovedAndJobsStillWarmSkip) {
+    // Older builds also persisted the entailment cache as v2/entail.cache.
+    // The store now holds job verdicts only: opening removes the file as
+    // a retired artifact, and every job still warm-skips.
+    std::string a = write("a.svlc", kSecure);
+    std::string b = write("b.svlc", kRejected);
+    std::vector<JobSpec> jobs = {{a, a, "", "", 0}, {b, b, "", "", 0}};
+    DriverOptions opts;
+    opts.store_dir = store_dir();
+    BatchReport cold = VerificationDriver(opts).run(jobs);
+    ASSERT_EQ(cold.skipped_count(), 0u);
+
+    fs::path entail = fs::path(store_dir()) / "v2" / "entail.cache";
+    std::ofstream(entail) << "svlc-store/v2 entail\ncount 1\n5 64\nkey-1\n"
+                             "sum 0000000000000000\n";
+    ASSERT_TRUE(fs::exists(entail));
+
+    VerificationDriver drv(opts);
+    ASSERT_NE(drv.store(), nullptr);
+    EXPECT_FALSE(fs::exists(entail));
     BatchReport warm = drv.run(jobs);
     EXPECT_EQ(warm.skipped_count(), jobs.size());
     EXPECT_EQ(warm.store.legacy_discarded, 1u);
@@ -563,8 +525,6 @@ TEST_F(IncrTest, SecondRunSkipsEverythingWithIdenticalVerdicts) {
     // The full report says *why* each job was skipped.
     EXPECT_NE(r2.to_json(true).find("\"skipped\": \"fingerprint-hit\""),
               std::string::npos);
-    // And the warm run reused the persisted entailment entries.
-    EXPECT_GT(r2.store.entail_loaded, 0u);
 }
 
 TEST_F(IncrTest, MutatingOneSourceReverifiesExactlyThatJob) {
@@ -597,7 +557,6 @@ TEST_F(IncrTest, CacheDisabledStillSkipsByFingerprint) {
     VerificationDriver(opts).run(jobs);
     BatchReport r = VerificationDriver(opts).run(jobs);
     EXPECT_EQ(r.skipped_count(), 1u);
-    EXPECT_EQ(r.store.entail_loaded, 0u);
 }
 
 TEST_F(IncrTest, ErrorsAndTimeoutsAreNeverPersisted) {

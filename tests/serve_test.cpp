@@ -8,8 +8,8 @@
 //   * concurrent clients on different sessions never observe
 //     interleaved frames,
 //   * didChange pushes LSP-flavored diagnostics,
-//   * graceful shutdown flushes the store so a later cold
-//     `svlc batch --store` warm-skips, and
+//   * verdicts reach the store so that, after a graceful shutdown, a
+//     later cold `svlc batch --store` warm-skips, and
 //   * --idle-timeout exits on its own.
 #include "serve/client.hpp"
 #include "serve/server.hpp"
@@ -352,14 +352,13 @@ TEST(Serve, ShutdownFlushesStoreForBatchWarmSkip) {
         // The daemon writes the verdict under the same fingerprint a
         // batch job with this name computes.
         call_ok(*client, "verify", verify_params(file, source));
-        // Graceful shutdown via the protocol; run() flushes the store.
+        // Graceful shutdown via the protocol.
         call_ok(*client, "shutdown", JsonValue::object());
         ts.thread.join();
         ts.thread = std::thread(); // already joined
     }
 
-    // A cold batch over the same job warm-skips from the flushed store
-    // and loads the persisted entailment cache.
+    // A cold batch over the same job warm-skips from the store.
     driver::DriverOptions dopts;
     dopts.store_dir = store.string();
     driver::JobSpec job;
@@ -369,7 +368,6 @@ TEST(Serve, ShutdownFlushesStoreForBatchWarmSkip) {
     driver::BatchReport report = drv.run({job});
     EXPECT_EQ(report.skipped_count(), 1u);
     EXPECT_EQ(report.results[0].status, driver::JobStatus::Secure);
-    EXPECT_GT(report.store.entail_loaded, 0u);
 
     fs::remove_all(store);
 }
@@ -427,7 +425,18 @@ TEST(Serve, ProtocolErrors) {
     EXPECT_TRUE(response.has_error);
     EXPECT_EQ(response.error_code, serve::kErrInvalidParams);
 
-    // The connection survives both errors.
+    // An unknown solver backend → invalid params.
+    JsonValue params = verify_params("a.svlc", "module m(); endmodule\n");
+    JsonValue options = JsonValue::object();
+    options.set("solver", JsonValue("prune"));
+    params.set("options", std::move(options));
+    ASSERT_TRUE(client->call("verify", params, response, error));
+    EXPECT_TRUE(response.has_error);
+    EXPECT_EQ(response.error_code, serve::kErrInvalidParams);
+    EXPECT_NE(response.error_message.find("prune"), std::string::npos)
+        << response.error_message;
+
+    // The connection survives every error.
     JsonValue status = call_ok(*client, "status", JsonValue::object());
     EXPECT_EQ(status.get_string("schema"), "svlc-serve/v1");
 }

@@ -1,6 +1,8 @@
 // Dynamic-verification suite: observational-determinism dual runs, the
 // GLIFT-style taint monitor, and the dynamic-clearing transform — the
 // three pillars of the paper's security comparisons.
+#include "proc/assembler.hpp"
+#include "proc/testbench.hpp"
 #include "test_util.hpp"
 #include "verify/noninterference.hpp"
 #include "verify/taint.hpp"
@@ -113,6 +115,34 @@ endmodule
     EXPECT_TRUE(result.ok) << (result.violations.empty()
                                    ? ""
                                    : result.violations[0].description);
+}
+
+TEST(Noninterference, DependentLabelInputIsSharedWhileItsLabelIsTrusted) {
+    // The labeled CPU's `fstall` carries {lb(mode)}: trusted in kernel
+    // mode. A syscall-free kernel loop never leaves kernel mode, so the
+    // tester must hold fstall equal in both runs; varying it (treating a
+    // dependent label as high in every state) reported a false leak
+    // through `stall` at cycle 1.
+    const auto& design = proc::labeled_cpu_design();
+    proc::AsmResult prog = proc::assemble("loop: addiu $1, $1, 1\n"
+                                          "      j loop\n"
+                                          "      nop\n");
+    ASSERT_TRUE(prog.ok);
+    verify::NIConfig cfg;
+    cfg.observer = trusted_level(*design);
+    cfg.cycles = 256;
+    cfg.trials = 2;
+    cfg.driver = [&prog](sim::Simulator& s, uint64_t cycle) {
+        if (cycle == 0)
+            for (size_t i = 0; i < prog.words.size(); ++i)
+                s.poke_elem("imem_k", i, prog.words[i]);
+        s.set_input("rst", cycle == 0 ? 1 : 0);
+    };
+    auto result = verify::test_noninterference(*design, cfg);
+    EXPECT_TRUE(result.ok) << (result.violations.empty()
+                                   ? ""
+                                   : result.violations[0].description);
+    EXPECT_EQ(result.cycles_run, cfg.cycles * cfg.trials);
 }
 
 TEST(Taint, MonitorFlagsImplicitDowngrade) {

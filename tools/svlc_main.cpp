@@ -52,21 +52,21 @@ int usage() {
     std::fprintf(stderr,
                  "usage:\n"
                  "  svlc check <file.svlc> [--top M] [--classic] [--no-hold]\n"
-                 "             [--solver enum|prune|cdcl] [--json out.json] [--stats]\n"
+                 "             [--solver enum|cdcl] [--json out.json] [--stats]\n"
                  "             [--remote SOCKET] [--retry N] [--backoff MS]\n"
                  "  svlc serve --socket PATH [--store DIR] [--max-sessions N]\n"
                  "             [--idle-timeout SEC] [--timeout-ms T]\n"
-                 "             [--classic] [--no-hold] [--solver enum|prune|cdcl]\n"
+                 "             [--classic] [--no-hold] [--solver enum|cdcl]\n"
                  "  svlc client --socket PATH [--retry N] [--backoff MS]\n"
                  "             <method> [params-json]\n"
                  "  svlc batch <manifest|dir|file.svlc|builtin:V> [--jobs N]\n"
                  "             [--json out.json] [--timeout-ms T] [--no-cache]\n"
-                 "             [--warm] [--cpus] [--classic] [--no-hold]\n"
-                 "             [--store DIR] [--no-store] [--solver enum|prune|cdcl]\n"
+                 "             [--cpus] [--classic] [--no-hold] [--store DIR]\n"
+                 "             [--no-store] [--solver enum|cdcl]\n"
                  "  svlc watch <manifest|dir|file.svlc|builtin:V> [--store DIR]\n"
                  "             [--no-store] [--interval-ms T] [--iterations N]\n"
                  "             [--jobs N] [--timeout-ms T] [--no-cache] [--cpus]\n"
-                 "             [--classic] [--no-hold] [--solver enum|prune|cdcl]\n"
+                 "             [--classic] [--no-hold] [--solver enum|cdcl]\n"
                  "  svlc diff-backends <manifest|dir|file.svlc|builtin:V>\n"
                  "             [--jobs N] [--timeout-ms T] [--cpus] [--classic]\n"
                  "             [--no-hold]\n"
@@ -86,7 +86,7 @@ int usage() {
                  "            [--corpus DIR] [--no-reduce] [--dump]\n"
                  "  svlc reduce <file.svlc> [--oracle NAME|diag:CODE]\n"
                  "            [--out out.svlc] [--classic] [--no-hold]\n"
-                 "            [--solver enum|prune|cdcl]\n");
+                 "            [--solver enum|cdcl]\n");
     return 2;
 }
 
@@ -113,7 +113,6 @@ struct Args {
     std::string json_path;
     uint64_t timeout_ms = 0;
     bool no_cache = false;
-    bool warm = false;
     bool cpus = false;
     // batch/watch/serve persistent store
     std::string store_dir;
@@ -191,8 +190,8 @@ bool set_positive(Args& a, const char* flag, const char* v) {
 bool set_solver(Args& a, const char*, const char* v) {
     if (!solver::parse_backend(v)) {
         std::fprintf(stderr,
-                     "--solver: unknown backend '%s' (expected enum, "
-                     "prune, or cdcl)\n",
+                     "--solver: unknown backend '%s' (expected one of: "
+                     "enum, cdcl)\n",
                      v);
         return false;
     }
@@ -268,7 +267,6 @@ const Option kOptions[] = {
      set_uint<&Args::timeout_ms>},
     {"--jobs", true, "batch watch diff-backends", set_uint<&Args::jobs>},
     {"--no-cache", false, "batch watch", set_flag<&Args::no_cache>},
-    {"--warm", false, "batch", set_flag<&Args::warm>},
     {"--cpus", false, "batch watch diff-backends", set_flag<&Args::cpus>},
     {"--interval-ms", true, "watch", set_uint<&Args::interval_ms>},
     {"--iterations", true, "watch", set_uint<&Args::iterations>},
@@ -554,13 +552,7 @@ int cmd_batch(const Args& args) {
         opts.store_dir = args.store_dir;
     opts.check = check_options(args);
 
-    driver::VerificationDriver drv(opts);
-    if (args.warm) {
-        // Untimed warm-up pass: populate the entailment cache so the
-        // reported run measures steady-state (CI dashboard) behaviour.
-        (void)drv.run(jobs);
-    }
-    driver::BatchReport report = drv.run(jobs);
+    driver::BatchReport report = driver::VerificationDriver(opts).run(jobs);
 
     // The stdout summary is deterministic (verdicts only); timings and
     // cache telemetry go to stderr and the JSON report.
@@ -576,12 +568,10 @@ int cmd_batch(const Args& args) {
     if (report.store_enabled) {
         std::fprintf(
             stderr,
-            "store: %zu skipped via fingerprint, %llu stored, %llu entail "
-            "entries loaded / %llu flushed, %llu corrupt discarded\n",
+            "store: %zu skipped via fingerprint, %llu stored, %llu corrupt "
+            "discarded\n",
             report.skipped_count(),
             static_cast<unsigned long long>(report.store.verdict_stores),
-            static_cast<unsigned long long>(report.store.entail_loaded),
-            static_cast<unsigned long long>(report.store.entail_flushed),
             static_cast<unsigned long long>(report.store.corrupt_discarded));
     }
     if (!args.json_path.empty()) {
@@ -631,8 +621,8 @@ int cmd_diff(const Args& args) {
     opts.check = check_options(args);
     std::vector<driver::BackendDiff> diffs = driver::diff_backends(jobs, opts);
     if (diffs.empty()) {
-        std::printf("diff-backends: %zu job(s), enum, prune, and cdcl agree "
-                    "on every verdict\n",
+        std::printf("diff-backends: %zu job(s), enum and cdcl agree on "
+                    "every verdict\n",
                     jobs.size());
         return 0;
     }
