@@ -1,11 +1,13 @@
 // E11b: the entailment engine — microbenchmarks of the decision
 // procedure that discharges C(•η) ⇒ τ⊔pc ⊑ τ' (syntactic fast path vs
-// dependency-closed enumeration), the enumeration-budget sweep, and the
+// dependency-closed enumeration), the enumeration-budget sweep, the
 // enum-reference vs cdcl-production backend comparison over the hdl/
 // corpus (emitted as BENCH_solver.json, schema svlc-bench-solver/v3, for
-// CI dashboards).
+// CI dashboards), and the cost of building the facts the solver reads:
+// defining equations and guarded writes on the processors.
 #include "bench_util.hpp"
 #include "driver/driver.hpp"
+#include "proc/sources.hpp"
 #include "sem/updates.hpp"
 #include "solver/entail.hpp"
 #include "support/fsutil.hpp"
@@ -261,14 +263,39 @@ void bm_syntactic_fast_path(benchmark::State& state) {
 }
 BENCHMARK(bm_syntactic_fast_path);
 
-void bm_build_equations_cpu_scale(benchmark::State& state) {
-    auto design = compile(chained_guard(8));
+// --- equations and guarded writes on the processors -----------------------
+
+/// Every register's next-cycle equation, as the checker builds them for
+/// one labeled core and for the four-core ring.
+void bm_build_equations_cpu_scale(benchmark::State& state,
+                                  std::string (*source)()) {
+    auto design = compile(source());
     for (auto _ : state) {
         auto eqs = sem::build_equations(*design);
         benchmark::DoNotOptimize(eqs.defs.size());
     }
 }
-BENCHMARK(bm_build_equations_cpu_scale);
+BENCHMARK_CAPTURE(bm_build_equations_cpu_scale, labeled,
+                  proc::labeled_cpu_source);
+BENCHMARK_CAPTURE(bm_build_equations_cpu_scale, quad, proc::quad_core_source);
+
+/// The guarded writes the hold-obligation check asks for: one call per
+/// register with a dependent label, on the labeled cpu.
+void bm_guarded_writes_cpu(benchmark::State& state) {
+    auto design = compile(proc::labeled_cpu_source());
+    std::vector<hir::NetId> nets;
+    for (const hir::Net& net : design->nets)
+        if (net.kind == hir::NetKind::Seq && !net.label.is_static())
+            nets.push_back(net.id);
+    for (auto _ : state)
+        for (hir::NetId net : nets) {
+            auto writes = sem::guarded_writes(*design, net);
+            benchmark::DoNotOptimize(writes.size());
+        }
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations() *
+                                                 nets.size()));
+}
+BENCHMARK(bm_guarded_writes_cpu);
 
 } // namespace
 

@@ -289,6 +289,7 @@ void Checker::check_hold_obligations() {
     if (opts_.mode != CheckerMode::SecVerilogLC || !opts_.hold_obligations ||
         result_.timed_out)
         return;
+    std::vector<std::string> names; // filled on the first array register
     for (const Net& net : design_.nets) {
         if (net.kind != NetKind::Seq || net.label.is_static())
             continue;
@@ -310,13 +311,16 @@ void Checker::check_hold_obligations() {
             // Arrays: group writes by syntactically-identical guard and
             // count a group as a full write only if its constant indices
             // cover the whole array.
+            if (names.empty())
+                names = design_.net_names();
+            std::vector<std::string> keys;
+            keys.reserve(writes.size());
             std::map<std::string, std::vector<uint64_t>> cover;
-            auto names = design_.net_names();
             for (const auto& w : writes) {
+                keys.push_back(w.guard ? to_string(*w.guard, names) : "");
                 if (!w.index || w.index->kind != ExprKind::Const)
                     continue; // dynamic index: cannot prove coverage
-                std::string key = w.guard ? to_string(*w.guard, names) : "";
-                cover[key].push_back(w.index->value.value());
+                cover[keys.back()].push_back(w.index->value.value());
             }
             for (auto& [key, indices] : cover) {
                 std::sort(indices.begin(), indices.end());
@@ -328,13 +332,10 @@ void Checker::check_hold_obligations() {
                     always_written = true;
                     break;
                 }
-                // Find one representative guard expression for the group.
-                for (const auto& w : writes) {
-                    if (w.guard && to_string(*w.guard, names) == key) {
-                        neg_guards_src.push_back(w.guard.get());
-                        break;
-                    }
-                }
+                // The group's first guard (in write order) represents it.
+                size_t first = std::find(keys.begin(), keys.end(), key) -
+                               keys.begin();
+                neg_guards_src.push_back(writes[first].guard.get());
             }
         }
         if (always_written)

@@ -1,6 +1,6 @@
 #include "sem/updates.hpp"
 
-#include <cassert>
+#include <algorithm>
 #include <set>
 #include <unordered_map>
 
@@ -10,189 +10,189 @@ using namespace hir;
 
 namespace {
 
-/// Conjoins two guards (either may be null = true). Synthesized nodes
-/// inherit an operand's loc so facts built from them stay resolvable in
-/// diagnostics.
-ExprPtr conj(const ExprPtr& a, const Expr* b) {
-    if (!a)
-        return b ? b->clone() : nullptr;
-    if (!b)
-        return a->clone();
-    SourceLoc loc = a->loc.valid() ? a->loc : b->loc;
-    return Expr::make_binary(BinaryOp::LogAnd, a->clone(), b->clone(), loc);
-}
+/// Walks a process body in program order, calling assign() at every
+/// assignment. The path condition is kept as a stack of borrowed if-conds,
+/// each as written or negated (else branch), and copied only when
+/// guard() is asked for it, so the cost is linear in the guards built
+/// however deep an else-if chain runs.
+class GuardedWalk {
+public:
+    void walk(const Stmt& s) {
+        switch (s.kind) {
+        case StmtKind::Block:
+            for (const auto& st : s.stmts)
+                walk(*st);
+            break;
+        case StmtKind::If: {
+            ExprPtr rewritten = rewrite(*s.cond);
+            conds_.push_back({rewritten ? rewritten.get() : s.cond.get()});
+            walk(*s.then_stmt);
+            conds_.back().negated = true;
+            if (s.else_stmt)
+                walk(*s.else_stmt);
+            conds_.pop_back();
+            break;
+        }
+        case StmtKind::Assign:
+            assign(s);
+            break;
+        case StmtKind::Assume:
+            break;
+        }
+    }
 
-ExprPtr negate(const Expr* e) {
-    return Expr::make_unary(UnaryOp::LogNot, e->clone(), e->loc);
-}
+protected:
+    virtual void assign(const Stmt& s) = 0;
+    /// What an if-cond stands for, if not the cond as written; the result
+    /// lives until both branches are walked.
+    virtual ExprPtr rewrite(const Expr& /*cond*/) { return nullptr; }
+
+    /// The left-folded conjunction ((g1 && g2) && ...) && gn of the path
+    /// condition, or null (= true) outside any if. A negation keeps its
+    /// cond's loc and each LogAnd its left operand's (else the right's),
+    /// so facts built from guards stay resolvable in diagnostics.
+    [[nodiscard]] ExprPtr guard() const {
+        ExprPtr out;
+        for (const auto& [cond, negated] : conds_) {
+            ExprPtr g = negated ? Expr::make_unary(UnaryOp::LogNot,
+                                                   cond->clone(), cond->loc)
+                                : cond->clone();
+            if (out) {
+                SourceLoc loc = out->loc.valid() ? out->loc : g->loc;
+                g = Expr::make_binary(BinaryOp::LogAnd, std::move(out),
+                                      std::move(g), loc);
+            }
+            out = std::move(g);
+        }
+        return out;
+    }
+
+private:
+    struct Cond {
+        const Expr* expr;
+        bool negated = false;
+    };
+    std::vector<Cond> conds_;
+};
 
 /// Symbolic executor for one process. Maintains env: net -> current
 /// symbolic value (relative to process entry). Reads of nets the process
 /// itself writes are substituted in combinational processes (blocking
 /// semantics); in sequential processes reads always see pre-tick values,
 /// so no substitution happens.
-class SymbolicExec {
+class SymbolicExec : public GuardedWalk {
 public:
     SymbolicExec(const Design& design, const Process& proc)
-        : design_(design), proc_(proc) {
-        for (NetId n : proc.writes)
-            self_writes_.insert(n);
-    }
+        : design_(design), proc_(proc),
+          self_writes_(proc.writes.begin(), proc.writes.end()) {}
 
     std::unordered_map<NetId, ExprPtr> run() {
-        walk(*proc_.body, nullptr);
+        walk(*proc_.body);
         return std::move(env_);
     }
 
 private:
+    ExprPtr rewrite(const Expr& cond) override {
+        return proc_.kind == ProcessKind::Seq ? nullptr : subst(cond);
+    }
+
     ExprPtr subst(const Expr& e) {
-        if (proc_.kind == ProcessKind::Seq)
-            return e.clone(); // non-blocking reads see old values
-        switch (e.kind) {
-        case ExprKind::NetRef:
-            if (!e.primed && self_writes_.count(e.net)) {
-                auto it = env_.find(e.net);
-                if (it != env_.end())
-                    return it->second->clone();
-                // Read-before-write: rejected by well-formedness; fall
-                // through to a plain reference to stay total.
-            }
-            return e.clone();
-        default: {
-            ExprPtr out = e.clone();
-            rewrite_children(*out);
-            return out;
-        }
-        }
+        ExprPtr out = e.clone();
+        if (proc_.kind == ProcessKind::Comb) // seq reads see old values
+            substitute_reads(out);
+        return out;
     }
 
-    void rewrite_children(Expr& e) {
-        auto fix = [&](ExprPtr& child) {
-            if (child)
-                child = subst(*child);
-        };
-        fix(e.index);
-        fix(e.a);
-        fix(e.b);
-        fix(e.c);
-        for (auto& p : e.parts)
-            p = subst(*p);
+    /// Replaces, in place, each read of a net this process already wrote
+    /// by the net's current value.
+    void substitute_reads(ExprPtr& e) {
+        if (e->kind == ExprKind::NetRef) {
+            if (!e->primed && self_writes_.count(e->net)) {
+                auto it = env_.find(e->net);
+                // Read-before-write is rejected by well-formedness; keep
+                // the plain reference there to stay total.
+                if (it != env_.end())
+                    e = it->second->clone();
+            }
+            return;
+        }
+        for (ExprPtr* child : {&e->index, &e->a, &e->b, &e->c})
+            if (*child)
+                substitute_reads(*child);
+        for (auto& p : e->parts)
+            substitute_reads(p);
     }
 
-    void walk(const Stmt& s, ExprPtr guard) {
-        switch (s.kind) {
-        case StmtKind::Block:
-            for (const auto& st : s.stmts)
-                walk(*st, guard ? guard->clone() : nullptr);
-            break;
-        case StmtKind::If: {
-            ExprPtr cond = subst(*s.cond);
-            walk(*s.then_stmt, conj(guard, cond.get()));
-            if (s.else_stmt) {
-                ExprPtr ncond = negate(cond.get());
-                walk(*s.else_stmt, conj(guard, ncond.get()));
-            }
-            break;
+    void assign(const Stmt& s) override {
+        NetId net = s.lhs.net;
+        const Net& n = design_.net(net);
+        if (n.array_size != 0 || s.lhs.index || s.lhs.has_range) {
+            // Array-element and part-select targets do not produce
+            // whole-net equations; mark the net as equation-less.
+            partial_.insert(net);
+            env_.erase(net);
+            return;
         }
-        case StmtKind::Assign: {
-            NetId net = s.lhs.net;
-            const Net& n = design_.net(net);
-            if (n.array_size != 0 || s.lhs.index || s.lhs.has_range) {
-                // Array-element and part-select targets do not produce
-                // whole-net equations; mark the net as equation-less.
-                partial_.insert(net);
-                env_.erase(net);
-                return;
-            }
-            if (partial_.count(net))
-                return;
-            ExprPtr rhs = subst(*s.rhs);
-            if (!guard) {
-                env_[net] = std::move(rhs);
-            } else {
-                ExprPtr prev;
-                auto it = env_.find(net);
-                if (it != env_.end())
-                    prev = it->second->clone();
-                else if (proc_.kind == ProcessKind::Seq)
-                    prev = Expr::make_net(net, n.width, false, s.loc); // hold
-                else
-                    prev = Expr::make_const(BitVec(n.width, 0), s.loc);
-                env_[net] = Expr::make_cond(guard->clone(), std::move(rhs),
-                                            std::move(prev), s.loc);
-            }
-            break;
+        if (partial_.count(net))
+            return;
+        ExprPtr rhs = subst(*s.rhs);
+        ExprPtr g = guard();
+        ExprPtr& slot = env_[net];
+        if (!g) {
+            slot = std::move(rhs);
+            return;
         }
-        case StmtKind::Assume:
-            break;
-        }
+        ExprPtr prev = std::move(slot);
+        if (!prev)
+            prev = proc_.kind == ProcessKind::Seq
+                       ? Expr::make_net(net, n.width, false, s.loc) // hold
+                       : Expr::make_const(BitVec(n.width, 0), s.loc);
+        slot = Expr::make_cond(std::move(g), std::move(rhs), std::move(prev),
+                               s.loc);
     }
 
     const Design& design_;
     const Process& proc_;
-    std::unordered_map<NetId, ExprPtr> env_;
     std::set<NetId> self_writes_;
+    std::unordered_map<NetId, ExprPtr> env_;
     std::set<NetId> partial_;
 };
 
-void collect_guarded(const Design& design, const Stmt& s, NetId target,
-                     ExprPtr guard, std::vector<GuardedWrite>& out) {
-    switch (s.kind) {
-    case StmtKind::Block:
-        for (const auto& st : s.stmts)
-            collect_guarded(design, *st, target,
-                            guard ? guard->clone() : nullptr, out);
-        break;
-    case StmtKind::If: {
-        collect_guarded(design, *s.then_stmt, target,
-                        conj(guard, s.cond.get()), out);
-        if (s.else_stmt) {
-            ExprPtr ncond = negate(s.cond.get());
-            collect_guarded(design, *s.else_stmt, target,
-                            conj(guard, ncond.get()), out);
-        }
-        break;
+/// Collects the guarded writes of one net, guards as written.
+class WriteCollector : public GuardedWalk {
+public:
+    WriteCollector(NetId target, std::vector<GuardedWrite>& out)
+        : target_(target), out_(out) {}
+
+private:
+    void assign(const Stmt& s) override {
+        if (s.lhs.net != target_)
+            return;
+        out_.push_back({guard(),
+                        s.lhs.index ? s.lhs.index->clone() : nullptr,
+                        s.rhs.get(), s.node_id, s.loc});
     }
-    case StmtKind::Assign:
-        if (s.lhs.net == target) {
-            GuardedWrite gw;
-            gw.guard = guard ? guard->clone() : nullptr;
-            gw.index = s.lhs.index ? s.lhs.index->clone() : nullptr;
-            gw.rhs = s.rhs.get();
-            gw.node_id = s.node_id;
-            gw.loc = s.loc;
-            out.push_back(std::move(gw));
-        }
-        break;
-    case StmtKind::Assume:
-        break;
-    }
-}
+
+    NetId target_;
+    std::vector<GuardedWrite>& out_;
+};
 
 } // namespace
 
 Equations build_equations(const Design& design) {
     Equations eq;
     eq.defs.resize(design.nets.size());
-    for (const Process& proc : design.processes) {
-        SymbolicExec exec(design, proc);
-        auto env = exec.run();
-        for (auto& [net, expr] : env)
+    for (const Process& proc : design.processes)
+        for (auto& [net, expr] : SymbolicExec(design, proc).run())
             eq.defs[net] = std::move(expr);
-    }
     return eq;
 }
 
 std::vector<GuardedWrite> guarded_writes(const Design& design, NetId net) {
     std::vector<GuardedWrite> out;
-    for (const Process& proc : design.processes) {
-        bool writes_net = false;
-        for (NetId n : proc.writes)
-            writes_net |= n == net;
-        if (!writes_net)
-            continue;
-        collect_guarded(design, *proc.body, net, nullptr, out);
-    }
+    for (const Process& proc : design.processes)
+        if (std::count(proc.writes.begin(), proc.writes.end(), net))
+            WriteCollector(net, out).walk(*proc.body);
     return out;
 }
 

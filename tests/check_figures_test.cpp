@@ -294,5 +294,87 @@ endmodule
     EXPECT_TRUE(result.ok) << c.errors();
 }
 
+// ---------------------------------------------------------------------------
+// Hold obligations on arrays: writes are grouped by guard, and a group
+// counts as a full write only when its constant indices cover every
+// element.
+// ---------------------------------------------------------------------------
+
+/// A two-element array whose label follows `mode`; `mode` flips only when
+/// `go` holds, so the hold obligation is provable under !go alone.
+std::string hold_array_source(const std::string& writes) {
+    return R"(
+lattice { level T; level U; flow T -> U; }
+function mode_to_lb(x:1) { 0 -> T; default -> U; }
+module harr(input com {T} go, input com {T} i);
+  reg seq {T} mode;
+  reg seq [7:0] {mode_to_lb(mode)} mem[0:1];
+  always @(seq) begin
+    if (go) mode <= ~mode;
+  end
+  always @(seq) begin
+)" + writes + R"(
+  end
+endmodule
+)";
+}
+
+/// The hold obligations issued for `mem`.
+std::vector<const check::Obligation*> mem_holds(const Compiled& c,
+                                                const check::CheckResult& r) {
+    std::vector<const check::Obligation*> out;
+    for (const auto& ob : r.obligations)
+        if (ob.kind == check::ObligationKind::Hold &&
+            ob.target == c.design->find_net("mem"))
+            out.push_back(&ob);
+    return out;
+}
+
+TEST(HoldObligationArray, EveryElementWrittenUnconditionallyNeedsNoHold) {
+    Compiled c;
+    auto result = check_source(
+        hold_array_source("    mem[0] <= 8'h0;\n    mem[1] <= 8'h0;"), c);
+    EXPECT_TRUE(result.ok) << c.errors();
+    EXPECT_TRUE(mem_holds(c, result).empty());
+}
+
+TEST(HoldObligationArray, EveryElementWrittenUnderOneGuardAssumesItsNegation) {
+    Compiled c;
+    auto result = check_source(
+        hold_array_source("    if (go) begin\n      mem[1] <= 8'h0;\n"
+                          "      mem[0] <= 8'h0;\n    end"),
+        c);
+    EXPECT_TRUE(result.ok) << c.errors();
+    auto holds = mem_holds(c, result);
+    ASSERT_EQ(holds.size(), 1u);
+    EXPECT_TRUE(holds[0]->result.proven());
+}
+
+TEST(HoldObligationArray, MissingConstantIndexLeavesTheHoldUnguarded) {
+    Compiled c;
+    auto result = check_source(
+        hold_array_source("    if (go) mem[0] <= 8'h0;\n"
+                          "    if (go) mem[0] <= 8'h1;"),
+        c);
+    EXPECT_FALSE(result.ok);
+    auto holds = mem_holds(c, result);
+    ASSERT_EQ(holds.size(), 1u);
+    EXPECT_FALSE(holds[0]->result.proven());
+}
+
+TEST(HoldObligationArray, DynamicIndexNeverCountsAsCoverage) {
+    for (const char* writes :
+         {"    if (go) begin\n      mem[1] <= 8'h0;\n"
+          "      mem[i] <= 8'h0;\n    end",
+          "    mem[i] <= 8'h0;\n    mem[~i] <= 8'h0;"}) {
+        Compiled c;
+        auto result = check_source(hold_array_source(writes), c);
+        EXPECT_FALSE(result.ok) << writes;
+        auto holds = mem_holds(c, result);
+        ASSERT_EQ(holds.size(), 1u) << writes;
+        EXPECT_FALSE(holds[0]->result.proven()) << writes;
+    }
+}
+
 } // namespace
 } // namespace svlc::test

@@ -22,7 +22,11 @@ namespace {
 namespace fs = std::filesystem;
 
 std::string capture_run(const FuzzOptions& opts, FuzzStats& stats) {
-    fs::path log = fs::temp_directory_path() / "svlc-fuzz-test.log";
+    // One file per test: ctest -j runs the tests that capture at once.
+    const char* test =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    fs::path log = fs::temp_directory_path() /
+                   (std::string("svlc-fuzz-test-") + test + ".log");
     std::FILE* out = std::fopen(log.string().c_str(), "w");
     EXPECT_NE(out, nullptr);
     stats = run_fuzz(opts, out);

@@ -417,6 +417,202 @@ endmodule
     EXPECT_EQ(eqs.def(c.design->find_net("a")), nullptr);
 }
 
+/// Node-for-node equality, source locations included (expr_equal ignores
+/// locs, but diagnostics and reports resolve them).
+void expect_same_tree(const Expr& got, const Expr& want) {
+    ASSERT_EQ(got.kind, want.kind);
+    EXPECT_EQ(got.width, want.width);
+    EXPECT_EQ(got.loc, want.loc);
+    EXPECT_EQ(got.net, want.net);
+    EXPECT_EQ(got.primed, want.primed);
+    EXPECT_EQ(got.value.value(), want.value.value());
+    EXPECT_EQ(got.un_op, want.un_op);
+    EXPECT_EQ(got.bin_op, want.bin_op);
+    const Expr* gc[] = {got.index.get(), got.a.get(), got.b.get(),
+                        got.c.get()};
+    const Expr* wc[] = {want.index.get(), want.a.get(), want.b.get(),
+                        want.c.get()};
+    for (int i = 0; i < 4; ++i) {
+        ASSERT_EQ(gc[i] == nullptr, wc[i] == nullptr);
+        if (gc[i])
+            expect_same_tree(*gc[i], *wc[i]);
+    }
+    ASSERT_EQ(got.parts.size(), want.parts.size());
+    for (size_t i = 0; i < got.parts.size(); ++i)
+        expect_same_tree(*got.parts[i], *want.parts[i]);
+}
+
+/// The process that writes `net`.
+const hir::Process& writer_of(const hir::Design& d, hir::NetId net) {
+    for (const auto& p : d.processes)
+        for (hir::NetId w : p.writes)
+            if (w == net)
+                return p;
+    ADD_FAILURE() << "no process writes net " << net;
+    return d.processes.front();
+}
+
+TEST(Equations, ElseIfChainGuardsAreLeftFoldedWithCondLocs) {
+    auto c = compile(R"(
+module m(input com {T} c1, input com {T} c2, input com {T} c3,
+         input com [7:0] {T} d);
+  reg seq [7:0] {T} r;
+  always @(seq) begin
+    if (c1) r <= 8'h1;
+    else if (c2) r <= 8'h2;
+    else if (c3) r <= d;
+  end
+endmodule
+)");
+    ASSERT_TRUE(c.ok()) << c.errors();
+    hir::NetId r = c.design->find_net("r");
+    auto names = c.design->net_names();
+
+    // The if statements of the chain, outermost first.
+    std::vector<const hir::Stmt*> ifs;
+    for (const hir::Stmt* s = writer_of(*c.design, r).body->stmts[0].get();
+         s; s = s->else_stmt.get()) {
+        while (s->kind == hir::StmtKind::Block && s->stmts.size() == 1)
+            s = s->stmts[0].get();
+        ASSERT_EQ(s->kind, hir::StmtKind::If);
+        ifs.push_back(s);
+    }
+    ASSERT_EQ(ifs.size(), 3u);
+    SourceLoc l1 = ifs[0]->cond->loc, l2 = ifs[1]->cond->loc,
+              l3 = ifs[2]->cond->loc;
+    ASSERT_TRUE(l1.valid() && l2.valid() && l3.valid());
+    EXPECT_NE(l1, l2);
+    EXPECT_NE(l2, l3);
+
+    // ((!c1 && !c2) && c3): negations keep their cond's loc; each LogAnd
+    // takes its left operand's loc.
+    auto check_deepest = [&](const Expr& g) {
+        ASSERT_EQ(to_string(g, names), "((!(c1) && !(c2)) && c3)");
+        EXPECT_EQ(g.loc, l1);
+        EXPECT_EQ(g.a->loc, l1);
+        EXPECT_EQ(g.a->a->loc, l1);
+        EXPECT_EQ(g.a->a->a->loc, l1);
+        EXPECT_EQ(g.a->b->loc, l2);
+        EXPECT_EQ(g.a->b->a->loc, l2);
+        EXPECT_EQ(g.b->loc, l3);
+    };
+
+    auto eqs = sem::build_equations(*c.design);
+    const Expr* def = eqs.def(r);
+    ASSERT_NE(def, nullptr);
+    ASSERT_EQ(def->kind, hir::ExprKind::Cond);
+    check_deepest(*def->a);
+    EXPECT_EQ(to_string(*def, names),
+              "(((!(c1) && !(c2)) && c3) ? d : ((!(c1) && c2) ? 8'h2 : "
+              "(c1 ? 8'h1 : r)))");
+
+    auto writes = sem::guarded_writes(*c.design, r);
+    ASSERT_EQ(writes.size(), 3u);
+    ASSERT_TRUE(writes[0].guard && writes[1].guard && writes[2].guard);
+    EXPECT_EQ(to_string(*writes[0].guard, names), "c1");
+    EXPECT_EQ(to_string(*writes[1].guard, names), "(!(c1) && c2)");
+    check_deepest(*writes[2].guard);
+    // In a seq process both walkers build the same guards, node for node.
+    const Expr* level = def;
+    for (size_t i = writes.size(); i-- > 0; level = level->c.get()) {
+        ASSERT_EQ(level->kind, hir::ExprKind::Cond);
+        expect_same_tree(*writes[i].guard, *level->a);
+    }
+}
+
+TEST(Equations, GuardsAreSubstitutedInCombButNotInSeqProcesses) {
+    auto c = compile(R"(
+module m(input com [7:0] {T} a);
+  wire com [7:0] {T} x;
+  wire com [7:0] {T} y;
+  reg seq [7:0] {T} r;
+  reg seq [7:0] {T} s;
+  always @(*) begin
+    x = a;
+    y = 8'h2;
+    if (x == 8'h0) y = 8'h1;
+  end
+  always @(seq) begin
+    r <= a;
+    if (r == 8'h0) s <= 8'h1;
+  end
+endmodule
+)");
+    ASSERT_TRUE(c.ok()) << c.errors();
+    auto names = c.design->net_names();
+    auto eqs = sem::build_equations(*c.design);
+    // Comb: the guard sees the freshly written x, i.e. a.
+    const Expr* y = eqs.def(c.design->find_net("y"));
+    ASSERT_NE(y, nullptr);
+    EXPECT_EQ(to_string(*y, names), "((a == 8'h0) ? 8'h1 : 8'h2)");
+    // Seq: reads see pre-tick values, so the guard keeps r.
+    const Expr* s = eqs.def(c.design->find_net("s"));
+    ASSERT_NE(s, nullptr);
+    EXPECT_EQ(to_string(*s, names), "((r == 8'h0) ? 8'h1 : s)");
+    // guarded_writes reports the guards as written in the source.
+    auto yw = sem::guarded_writes(*c.design, c.design->find_net("y"));
+    ASSERT_EQ(yw.size(), 2u);
+    EXPECT_EQ(yw[0].guard, nullptr);
+    ASSERT_NE(yw[1].guard, nullptr);
+    EXPECT_EQ(to_string(*yw[1].guard, names), "(x == 8'h0)");
+    auto sw = sem::guarded_writes(*c.design, c.design->find_net("s"));
+    ASSERT_EQ(sw.size(), 1u);
+    ASSERT_NE(sw[0].guard, nullptr);
+    ASSERT_EQ(s->kind, hir::ExprKind::Cond);
+    expect_same_tree(*sw[0].guard, *s->a);
+}
+
+TEST(Equations, PreviousValueChainsAcrossGuardedWrites) {
+    auto c = compile(R"(
+module m(input com {T} a, input com {T} b, input com {T} e);
+  reg seq [7:0] {T} r;
+  wire com [7:0] {T} w;
+  always @(seq) begin
+    if (a) r <= 8'h1;
+    if (b) r <= 8'h2;
+    if (e) begin
+      r <= 8'h3;
+      if (a) r <= 8'h4;
+    end
+  end
+  always @(*) begin
+    w = 8'h0;
+    if (a) w = 8'h1;
+    w = w + 8'h1;
+    if (b) w = 8'h5;
+  end
+endmodule
+)");
+    ASSERT_TRUE(c.ok()) << c.errors();
+    auto names = c.design->net_names();
+    auto eqs = sem::build_equations(*c.design);
+    hir::NetId r = c.design->find_net("r");
+    const Expr* rd = eqs.def(r);
+    ASSERT_NE(rd, nullptr);
+    EXPECT_EQ(to_string(*rd, names),
+              "((e && a) ? 8'h4 : (e ? 8'h3 : (b ? 8'h2 : (a ? 8'h1 : r))))");
+    // Each Cond carries its assignment's loc; the innermost hold reads r.
+    auto writes = sem::guarded_writes(*c.design, r);
+    ASSERT_EQ(writes.size(), 4u);
+    const Expr* level = rd;
+    for (size_t i = writes.size(); i-- > 0;) {
+        ASSERT_EQ(level->kind, hir::ExprKind::Cond);
+        EXPECT_EQ(level->loc, writes[i].loc);
+        expect_same_tree(*level->a, *writes[i].guard);
+        level = level->c.get();
+    }
+    EXPECT_EQ(level->kind, hir::ExprKind::NetRef);
+    EXPECT_EQ(level->net, r);
+    EXPECT_FALSE(level->primed);
+    EXPECT_EQ(level->loc, writes[0].loc);
+
+    // Comb: a later read inlines the chain built so far.
+    const Expr* wd = eqs.def(c.design->find_net("w"));
+    ASSERT_NE(wd, nullptr);
+    EXPECT_EQ(to_string(*wd, names),
+              "(b ? 8'h5 : ((a ? 8'h1 : 8'h0) + 8'h1))");
+}
+
 /// Property: for every scalar register of a random-ish design, stepping
 /// the simulator agrees with evaluating the extracted equation on the
 /// pre-step state.
