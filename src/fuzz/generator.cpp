@@ -492,13 +492,19 @@ private:
                 continue;
             line("  always @(seq) begin");
             // next() of registers from strictly earlier groups keeps the
-            // next-value dependency graph acyclic.
+            // next-value dependency graph acyclic. An array element is
+            // read at a constant index: next() would prime the registers
+            // of an index expression too.
             std::vector<Operand> saved = pool_;
-            for (const auto& n : nets_)
-                if (n.seq && n.group < g && !n.array && rng_.chance(60))
-                    pool_.push_back(
-                        {"next(" + n.name + ")", n.width, n.eff_level,
-                         false});
+            for (const auto& n : nets_) {
+                if (!n.seq || n.group >= g || !rng_.chance(60))
+                    continue;
+                std::string read = n.name;
+                if (n.array)
+                    read += "[" + std::to_string(rng_.below(n.array)) + "]";
+                pool_.push_back(
+                    {"next(" + read + ")", n.width, n.eff_level, false});
+            }
             for (const NetInfo* r : regs)
                 emit_reg_write(*r);
             if (!has_assume_ && rng_.chance(15)) {

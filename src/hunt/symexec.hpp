@@ -9,14 +9,17 @@
 // untainted is decided, and so on. The taint domain is a strict
 // refinement of verify::TaintTracker's level-per-net domain on the same
 // concrete path: whenever a TaintSim bit is tainted, the tracker's
-// level taint for that net cannot flow to the observer (see
-// docs/HUNT.md for the induction). The hunter relies on this: a leak
+// level taint for that net cannot flow to the observer. Both are
+// verify::TaintEngine over their own domain, so they share the store and
+// the schedule, and the induction only covers the domains' transfer
+// rules (docs/HUNT.md). The hunter relies on this: a leak
 // flagged here is re-run through Simulator + TaintTracker as an oracle
 // before it is ever reported.
 #pragma once
 
 #include "sem/hir.hpp"
 #include "sim/simulator.hpp"
+#include "verify/taint_engine.hpp"
 
 #include <cstdint>
 #include <vector>
@@ -34,30 +37,57 @@ struct LeakEvent {
     LevelId declared = kInvalidLevel;
 };
 
+/// TaintSim's domain: one taint bit per wire bit; a leak is a net with
+/// tainted bits whose label flows to the observer. A control taint is
+/// non-zero iff a secret decided the control path.
+struct BitTaint {
+    using Taint = uint64_t;
+    using Event = LeakEvent;
+
+    const hir::Design& design;
+    LevelId observer;
+
+    [[nodiscard]] uint64_t bottom() const { return 0; }
+    /// Every bit of an input whose label the observer may not read is a
+    /// fresh secret.
+    [[nodiscard]] uint64_t seed(const hir::Net& input, LevelId label) const;
+    [[nodiscard]] uint64_t eval(const hir::Expr& e,
+                                const verify::TaintEnv<uint64_t>& env) const;
+    [[nodiscard]] uint64_t branch(uint64_t pc, const hir::Expr& cond,
+                                  const verify::TaintEnv<uint64_t>& env) const;
+    [[nodiscard]] uint64_t written(uint64_t pc, const hir::Stmt& assign,
+                                   const verify::TaintEnv<uint64_t>& env) const;
+    [[nodiscard]] uint64_t merge_range(uint64_t old, uint64_t t,
+                                       const hir::LValue& lv) const;
+    [[nodiscard]] bool flags(uint64_t t, LevelId declared) const {
+        return t != 0 && design.policy.lattice().flows(declared, observer);
+    }
+};
+
 /// Copy-constructible (for search snapshots); not assignable — the
 /// embedded Simulator pins the design by reference.
 class TaintSim {
 public:
-    TaintSim(const hir::Design& design, LevelId observer);
+    TaintSim(const hir::Design& design, LevelId observer)
+        : sim_(design), engine_(design, BitTaint{design, observer}) {}
 
     /// Drives a primary input for subsequent cycles. Taint is not set
     /// here: step() seeds every input's taint from its evaluated label,
     /// exactly when TaintTracker would.
-    void set_input(hir::NetId net, BitVec value);
+    void set_input(hir::NetId net, BitVec value) {
+        sim_.set_input(net, value);
+    }
 
     /// One full cycle in lock-step with the embedded simulator,
     /// monitoring observer-visible nets just before the TICK commit.
-    void step();
+    void step() { engine_.step(sim_); }
 
     [[nodiscard]] const std::vector<LeakEvent>& leaks() const {
-        return leaks_;
+        return engine_.events();
     }
     [[nodiscard]] uint64_t taint(hir::NetId net) const {
-        return current_[net];
+        return engine_.store().get(net, false);
     }
-    [[nodiscard]] const sim::Simulator& sim() const { return sim_; }
-    [[nodiscard]] uint64_t cycle() const { return sim_.cycle(); }
-    [[nodiscard]] LevelId observer() const { return observer_; }
 
     /// Search heuristic: total tainted bits across all state, weighted
     /// so that spreading taint to more nets scores higher than piling
@@ -65,25 +95,8 @@ public:
     [[nodiscard]] uint64_t taint_score() const;
 
 private:
-    uint64_t eval_taint(const hir::Expr& e, hir::ProcessKind kind) const;
-    void exec(const hir::Stmt& s, hir::ProcessKind kind, bool pc_tainted);
-    [[nodiscard]] uint64_t width_mask(hir::NetId net) const;
-    [[nodiscard]] LevelId eval_label(const hir::Label& label,
-                                     hir::ProcessKind kind) const;
-
-    const hir::Design& design_;
     sim::Simulator sim_;
-    LevelId observer_;
-    std::vector<uint64_t> current_;
-    std::vector<uint64_t> pending_; // next-cycle taints of seq nets
-    std::vector<std::vector<uint64_t>> array_taints_;
-    struct ArrayTaintWrite {
-        hir::NetId net;
-        uint64_t index;
-        uint64_t taint;
-    };
-    std::vector<ArrayTaintWrite> array_writes_;
-    std::vector<LeakEvent> leaks_;
+    verify::TaintEngine<BitTaint> engine_;
 };
 
 } // namespace svlc::hunt

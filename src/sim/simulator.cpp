@@ -7,56 +7,47 @@ namespace svlc::sim {
 
 using namespace hir;
 
-Simulator::Simulator(const Design& design) : design_(design) {
-    current_.resize(design.nets.size());
-    pending_.resize(design.nets.size());
-    arrays_.resize(design.nets.size());
-    for (const Net& net : design.nets) {
-        if (net.array_size != 0)
-            arrays_[net.id].assign(net.array_size, BitVec(net.width, 0));
-    }
-    reset();
+Simulator::Simulator(const Design& design) : design_(design) { reset(); }
+
+NetId Simulator::net_id(const std::string& name) const {
+    NetId id = design_.find_net(name);
+    if (id == kInvalidNet)
+        throw std::invalid_argument("no net named '" + name + "'");
+    return id;
 }
 
 void Simulator::reset() {
     cycle_ = 0;
     violations_.clear();
-    array_writes_.clear();
-    for (const Net& net : design_.nets) {
-        BitVec init = net.has_init ? net.init : BitVec(net.width, 0);
-        current_[net.id] = init;
-        pending_[net.id] = init;
-        if (net.array_size != 0)
-            for (auto& v : arrays_[net.id])
-                v = BitVec(net.width, 0);
-    }
+    store_.reset(
+        design_,
+        [](const Net& net) {
+            return net.has_init ? net.init : BitVec(net.width, 0);
+        },
+        [](const Net& net) { return BitVec(net.width, 0); });
 }
 
 void Simulator::set_input(NetId net, BitVec value) {
-    current_[net] = value.resize(design_.net(net).width);
+    store_.current(net) = value.resize(design_.net(net).width);
 }
 
 void Simulator::set_input(const std::string& name, uint64_t value) {
-    NetId id = design_.find_net(name);
-    if (id == kInvalidNet)
-        throw std::invalid_argument("no net named '" + name + "'");
+    NetId id = net_id(name);
     set_input(id, BitVec(design_.net(id).width, value));
 }
 
 void Simulator::poke(NetId net, BitVec value) {
-    current_[net] = value.resize(design_.net(net).width);
-    pending_[net] = current_[net];
+    store_.current(net) = value.resize(design_.net(net).width);
+    store_.pending(net) = store_.current(net);
 }
 
 void Simulator::poke(const std::string& name, uint64_t value) {
-    NetId id = design_.find_net(name);
-    if (id == kInvalidNet)
-        throw std::invalid_argument("no net named '" + name + "'");
+    NetId id = net_id(name);
     poke(id, BitVec(design_.net(id).width, value));
 }
 
 void Simulator::poke_elem(NetId net, uint64_t index, BitVec value) {
-    auto& arr = arrays_[net];
+    auto& arr = store_.elems(net);
     if (arr.empty())
         throw std::invalid_argument("net '" + design_.net(net).name +
                                     "' is not an array");
@@ -65,23 +56,18 @@ void Simulator::poke_elem(NetId net, uint64_t index, BitVec value) {
 
 void Simulator::poke_elem(const std::string& name, uint64_t index,
                           uint64_t value) {
-    NetId id = design_.find_net(name);
-    if (id == kInvalidNet)
-        throw std::invalid_argument("no net named '" + name + "'");
+    NetId id = net_id(name);
     poke_elem(id, index, BitVec(design_.net(id).width, value));
 }
 
-BitVec Simulator::get(NetId net) const { return current_[net]; }
+BitVec Simulator::get(NetId net) const { return store_.get(net, false); }
 
 BitVec Simulator::get(const std::string& name) const {
-    NetId id = design_.find_net(name);
-    if (id == kInvalidNet)
-        throw std::invalid_argument("no net named '" + name + "'");
-    return get(id);
+    return get(net_id(name));
 }
 
 BitVec Simulator::get_elem(NetId net, uint64_t index) const {
-    const auto& arr = arrays_[net];
+    const auto& arr = store_.elems(net);
     if (arr.empty())
         throw std::invalid_argument("net '" + design_.net(net).name +
                                     "' is not an array");
@@ -89,35 +75,24 @@ BitVec Simulator::get_elem(NetId net, uint64_t index) const {
 }
 
 BitVec Simulator::get_elem(const std::string& name, uint64_t index) const {
-    NetId id = design_.find_net(name);
-    if (id == kInvalidNet)
-        throw std::invalid_argument("no net named '" + name + "'");
-    return get_elem(id, index);
+    return get_elem(net_id(name), index);
 }
 
-BitVec Simulator::get_next(NetId net) const { return pending_[net]; }
+BitVec Simulator::get_next(NetId net) const { return store_.get(net, true); }
 
 BitVec Simulator::eval(const Expr& e) const {
     switch (e.kind) {
     case ExprKind::Const:
         return e.value;
     case ExprKind::NetRef:
-        return e.primed ? pending_[e.net] : current_[e.net];
+        return store_.get(e.net, e.primed);
     case ExprKind::ArrayRead: {
         uint64_t idx = eval(*e.index).value();
-        const auto& arr = arrays_[e.net];
-        if (arr.empty())
+        size_t size = store_.elems(e.net).size();
+        if (size == 0)
             throw SimError("array read from non-array net '" +
                            design_.net(e.net).name + "'");
-        idx %= arr.size();
-        if (e.primed) {
-            // Pending view: the last staged write to this element wins.
-            for (auto it = array_writes_.rbegin(); it != array_writes_.rend();
-                 ++it)
-                if (it->net == e.net && it->index == idx)
-                    return it->value;
-        }
-        return arr[idx];
+        return store_.elem(e.net, idx % size, e.primed);
     }
     case ExprKind::Slice:
         return eval(*e.a).slice(e.msb, e.lsb);
@@ -184,23 +159,22 @@ BitVec Simulator::eval(const Expr& e) const {
 
 void Simulator::write_scalar(NetId net, const LValue& lv, BitVec value,
                              ProcessKind kind) {
-    std::vector<BitVec>& store_vec =
-        kind == ProcessKind::Comb ? current_ : pending_;
+    BitVec& slot = store_.target(net, kind);
     uint32_t width = design_.net(net).width;
     if (lv.has_range) {
         // Rebuild the word through BitVec slice/concat: a raw
         // `mask(w) << lsb` merge is shift-overflow UB for a full-width
         // 64-bit range write (mask already 2^64-1, lsb possibly != 0 on
         // narrower fields reaching bit 63).
-        BitVec old = store_vec[net];
+        BitVec old = slot;
         BitVec merged = value.resize(lv.msb - lv.lsb + 1);
         if (lv.lsb > 0)
             merged = merged.concat(old.slice(lv.lsb - 1, 0));
         if (lv.msb + 1 < width)
             merged = old.slice(width - 1, lv.msb + 1).concat(merged);
-        store_vec[net] = merged;
+        slot = merged;
     } else {
-        store_vec[net] = value.resize(width);
+        slot = value.resize(width);
     }
 }
 
@@ -221,10 +195,7 @@ void Simulator::exec(const Stmt& s, ProcessKind kind) {
         BitVec value = eval(*s.rhs);
         if (net.array_size != 0) {
             uint64_t idx = eval(*s.lhs.index).value() % net.array_size;
-            if (kind == ProcessKind::Comb)
-                arrays_[net.id][idx] = value.resize(net.width);
-            else
-                array_writes_.push_back({net.id, idx, value.resize(net.width)});
+            store_.write_elem(net.id, idx, value.resize(net.width), kind);
         } else {
             write_scalar(net.id, s.lhs, value, kind);
         }
@@ -237,13 +208,7 @@ void Simulator::exec(const Stmt& s, ProcessKind kind) {
     }
 }
 
-void Simulator::begin_step() {
-    // Start of cycle: registers hold by default.
-    for (const Net& net : design_.nets)
-        if (net.kind == NetKind::Seq)
-            pending_[net.id] = current_[net.id];
-    array_writes_.clear();
-}
+void Simulator::begin_step() { store_.hold(design_); }
 
 void Simulator::exec_process(size_t process_index) {
     exec(*design_.processes[process_index].body,
@@ -251,13 +216,7 @@ void Simulator::exec_process(size_t process_index) {
 }
 
 void Simulator::end_step() {
-    // TICK: commit next-cycle values.
-    for (const Net& net : design_.nets)
-        if (net.kind == NetKind::Seq && net.array_size == 0)
-            current_[net.id] = pending_[net.id];
-    for (const auto& w : array_writes_)
-        arrays_[w.net][w.index] = w.value;
-    array_writes_.clear();
+    store_.commit(design_);
     ++cycle_;
 }
 
@@ -279,36 +238,17 @@ void Simulator::settle() {
             exec(*design_.processes[pi].body, ProcessKind::Comb);
 }
 
-LevelId Simulator::current_label(NetId net) const {
+LevelId Simulator::eval_label(const Label& label, bool next) const {
     const Lattice& lat = design_.policy.lattice();
     LevelId acc = lat.bottom();
-    for (const auto& atom : design_.net(net).label.atoms) {
-        if (atom.kind == LabelAtom::Kind::Level) {
-            acc = lat.join(acc, atom.level);
-        } else {
-            std::vector<uint64_t> args;
-            for (NetId a : atom.args)
-                args.push_back(current_[a].value());
-            acc = lat.join(acc,
-                           design_.policy.function(atom.func).evaluate(args));
-        }
-    }
-    return acc;
-}
-
-LevelId Simulator::next_label(NetId net) const {
-    const Lattice& lat = design_.policy.lattice();
-    LevelId acc = lat.bottom();
-    for (const auto& atom : design_.net(net).label.atoms) {
+    for (const auto& atom : label.atoms) {
         if (atom.kind == LabelAtom::Kind::Level) {
             acc = lat.join(acc, atom.level);
         } else {
             std::vector<uint64_t> args;
             for (NetId a : atom.args) {
-                // Sequential arguments take their next-cycle values, com
-                // arguments their current ones — mirroring Γ(r){r⃗'/r⃗}.
-                bool seq = design_.net(a).kind == NetKind::Seq;
-                args.push_back((seq ? pending_[a] : current_[a]).value());
+                bool primed = next && design_.net(a).kind == NetKind::Seq;
+                args.push_back(store_.get(a, primed).value());
             }
             acc = lat.join(acc,
                            design_.policy.function(atom.func).evaluate(args));

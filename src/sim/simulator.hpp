@@ -6,6 +6,7 @@
 #pragma once
 
 #include "sem/hir.hpp"
+#include "sim/net_store.hpp"
 #include "support/bitvec.hpp"
 
 #include <functional>
@@ -77,12 +78,20 @@ public:
     /// processes ran in the current step; equals get() between steps).
     [[nodiscard]] BitVec get_next(hir::NetId net) const;
 
-    /// Evaluates the *current* security label of a net (dependent labels
-    /// evaluated on current state). Used by the dynamic monitor and the
-    /// noninterference tester.
-    [[nodiscard]] LevelId current_label(hir::NetId net) const;
+    /// Evaluates a label on the live state: each dependent part applies
+    /// its function to the argument nets' values, sequential arguments
+    /// taking their pending values iff `next` — Γ(r){r⃗'/r⃗}. The one label
+    /// evaluator: the dynamic monitor, the taint engines' input seeding
+    /// and Downgrade rules, and the noninterference tester all use it.
+    [[nodiscard]] LevelId eval_label(const hir::Label& label, bool next) const;
+    /// The label a net carries now.
+    [[nodiscard]] LevelId current_label(hir::NetId net) const {
+        return eval_label(design_.net(net).label, false);
+    }
     /// The label the net will carry after the next TICK.
-    [[nodiscard]] LevelId next_label(hir::NetId net) const;
+    [[nodiscard]] LevelId next_label(hir::NetId net) const {
+        return eval_label(design_.net(net).label, true);
+    }
 
     [[nodiscard]] uint64_t cycle() const { return cycle_; }
     [[nodiscard]] const std::vector<AssumeViolation>& violations() const {
@@ -91,22 +100,15 @@ public:
     [[nodiscard]] const hir::Design& design() const { return design_; }
 
 private:
+    /// The net named `name`; throws std::invalid_argument if none is.
+    hir::NetId net_id(const std::string& name) const;
     BitVec eval(const hir::Expr& e) const;
     void exec(const hir::Stmt& s, hir::ProcessKind kind);
     void write_scalar(hir::NetId net, const hir::LValue& lv, BitVec value,
                       hir::ProcessKind kind);
 
     const hir::Design& design_;
-    std::vector<BitVec> current_;
-    std::vector<BitVec> pending_; // next-cycle values of seq nets
-    std::vector<std::vector<BitVec>> arrays_;
-    /// Array writes staged during the cycle: (net, index, value).
-    struct ArrayWrite {
-        hir::NetId net;
-        uint64_t index;
-        BitVec value;
-    };
-    std::vector<ArrayWrite> array_writes_;
+    NetStore<BitVec> store_;
     uint64_t cycle_ = 0;
     std::vector<AssumeViolation> violations_;
 };

@@ -10,6 +10,7 @@
 
 #include "sem/hir.hpp"
 #include "sim/simulator.hpp"
+#include "verify/taint_engine.hpp"
 
 #include <vector>
 
@@ -22,47 +23,56 @@ struct TaintViolation {
     LevelId declared;
 };
 
+/// The tracker's domain: one security level per net, joined through
+/// every operand and every guard; a violation is a net whose taint does
+/// not flow to its declared label.
+struct LevelTaint {
+    using Taint = LevelId;
+    using Event = TaintViolation;
+
+    const hir::Design& design;
+
+    [[nodiscard]] LevelId bottom() const {
+        return design.policy.lattice().bottom();
+    }
+    [[nodiscard]] LevelId seed(const hir::Net&, LevelId label) const {
+        return label;
+    }
+    [[nodiscard]] LevelId eval(const hir::Expr& e,
+                               const TaintEnv<LevelId>& env) const;
+    [[nodiscard]] LevelId branch(LevelId pc, const hir::Expr& cond,
+                                 const TaintEnv<LevelId>& env) const {
+        return design.policy.lattice().join(pc, eval(cond, env));
+    }
+    [[nodiscard]] LevelId written(LevelId pc, const hir::Stmt& assign,
+                                  const TaintEnv<LevelId>& env) const;
+    [[nodiscard]] LevelId merge_range(LevelId old, LevelId t,
+                                      const hir::LValue&) const {
+        return design.policy.lattice().join(old, t);
+    }
+    [[nodiscard]] bool flags(LevelId t, LevelId declared) const {
+        return !design.policy.lattice().flows(t, declared);
+    }
+};
+
 /// Shadow interpreter running in lock-step with a Simulator: step(sim)
 /// *replaces* sim.step() — it interleaves taint propagation with the
 /// simulator's own process evaluation so branch decisions and array
 /// indices are resolved against exactly the state each process sees.
-class TaintTracker {
+class TaintTracker : public TaintEngine<LevelTaint> {
 public:
-    explicit TaintTracker(const hir::Design& design);
+    explicit TaintTracker(const hir::Design& design)
+        : TaintEngine(design, LevelTaint{design}) {}
 
-    /// Resets all taints to bottom.
-    void reset();
-
-    /// Advances simulator and shadow state by one cycle.
-    void step(sim::Simulator& sim);
-
-    [[nodiscard]] LevelId taint(hir::NetId net) const { return current_[net]; }
+    [[nodiscard]] LevelId taint(hir::NetId net) const {
+        return store().get(net, false);
+    }
     [[nodiscard]] LevelId array_taint(hir::NetId net, uint64_t index) const {
-        return array_taints_[net][index];
+        return store().elems(net)[index];
     }
     [[nodiscard]] const std::vector<TaintViolation>& violations() const {
-        return violations_;
+        return events();
     }
-    [[nodiscard]] uint64_t cycle() const { return cycle_; }
-
-private:
-    LevelId eval_taint(const hir::Expr& e, hir::ProcessKind kind,
-                       const sim::Simulator& sim) const;
-    void exec(const hir::Stmt& s, hir::ProcessKind kind, LevelId pc,
-              const sim::Simulator& sim);
-
-    const hir::Design& design_;
-    std::vector<LevelId> current_;
-    std::vector<LevelId> pending_;
-    std::vector<std::vector<LevelId>> array_taints_;
-    struct ArrayTaintWrite {
-        hir::NetId net;
-        uint64_t index;
-        LevelId taint;
-    };
-    std::vector<ArrayTaintWrite> array_writes_;
-    std::vector<TaintViolation> violations_;
-    uint64_t cycle_ = 0;
 };
 
 } // namespace svlc::verify

@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <sys/wait.h>
+#include <unistd.h>
 
 namespace {
 
@@ -90,6 +93,37 @@ TEST(Cli, AcceptedFlagsStillParse) {
     EXPECT_EQ(bad_solver.status, 2) << bad_solver.output;
     CliRun hex = svlc("batch " + kFig4 + " --jobs 0x1 --timeout-ms 600000");
     EXPECT_EQ(hex.status, 0) << hex.output;
+}
+
+TEST(Cli, TaintListsTenViolationsThenCountsTheRest) {
+    // A secret input copied into a public register every cycle: one
+    // violation per cycle, twelve in all.
+    std::filesystem::path file =
+        std::filesystem::temp_directory_path() /
+        ("svlc-cli-taint-" + std::to_string(::getpid()) + ".svlc");
+    std::ofstream(file) << R"(
+lattice { level L; level H; flow L -> H; }
+module m(input com [7:0] {H} s);
+  reg seq [7:0] {L} r;
+  always @(seq) begin
+    r <= s;
+  end
+endmodule
+)";
+    CliRun r = svlc("taint " + file.string() + " --cycles 12");
+    std::filesystem::remove(file);
+    EXPECT_EQ(r.status, 1) << r.output;
+    EXPECT_NE(r.output.find("12 violation(s)"), std::string::npos)
+        << r.output;
+    size_t listed = 0;
+    for (size_t at = r.output.find("  cycle "); at != std::string::npos;
+         at = r.output.find("  cycle ", at + 1))
+        ++listed;
+    EXPECT_EQ(listed, 10u) << r.output;
+    EXPECT_NE(r.output.find("cycle 9: net 'r'"), std::string::npos)
+        << r.output;
+    EXPECT_NE(r.output.find("  ... and 2 more\n"), std::string::npos)
+        << r.output;
 }
 
 } // namespace

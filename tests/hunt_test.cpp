@@ -176,6 +176,21 @@ TEST(Hunt, HdlFig3FileFindsLeak) {
     EXPECT_EQ(r.unconfirmed_candidates, 0u);
 }
 
+TEST(Hunt, FindsNextArrayReadLeak) {
+    // The secret reaches the public wire only through next(mem[0]), the
+    // array write staged in the same cycle.
+    std::string source;
+    ASSERT_TRUE(read_file(SVLC_FIXTURE_DIR "/dynamic/next_array_leak.svlc",
+                          source));
+    auto c = compile(source);
+    ASSERT_TRUE(c.ok()) << c.errors();
+    hunt::HuntResult r = hunt::hunt(*c.design, small_hunt(6));
+    ASSERT_EQ(r.verdict, hunt::HuntVerdict::Leak);
+    EXPECT_TRUE(r.replay.confirmed);
+    EXPECT_EQ(c.design->net(r.replay.net).name, "w");
+    EXPECT_EQ(r.unconfirmed_candidates, 0u);
+}
+
 // --- corpus ---------------------------------------------------------------
 
 TEST(HuntCorpus, PlantedRingLeaksCleanRingDoesNot) {

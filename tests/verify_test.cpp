@@ -3,6 +3,7 @@
 // three pillars of the paper's security comparisons.
 #include "proc/assembler.hpp"
 #include "proc/testbench.hpp"
+#include "support/fsutil.hpp"
 #include "test_util.hpp"
 #include "verify/noninterference.hpp"
 #include "verify/taint.hpp"
@@ -353,6 +354,29 @@ endmodule
     tracker.step(sim);
     EXPECT_FALSE(tracker.violations().empty())
         << "endorse target is U on the pending mode; lo is declared T";
+}
+
+TEST(Taint, NextArrayReadSeesStagedTaint) {
+    // next(mem[0]) reads the write staged this cycle, not the committed
+    // element: in cycle 1 the secret is staged into mem[0] (the
+    // committed element still holds the scrubbed 0) and forwarded into
+    // the public wire w.
+    std::string source;
+    ASSERT_TRUE(read_file(SVLC_FIXTURE_DIR "/dynamic/next_array_leak.svlc",
+                          source));
+    auto c = compile(source);
+    ASSERT_TRUE(c.ok()) << c.errors();
+    sim::Simulator sim(*c.design);
+    verify::TaintTracker tracker(*c.design);
+    sim.set_input("secret", 0xAB);
+    tracker.step(sim);
+    EXPECT_TRUE(tracker.violations().empty());
+    tracker.step(sim);
+    ASSERT_EQ(tracker.violations().size(), 1u);
+    const verify::TaintViolation& v = tracker.violations().front();
+    EXPECT_EQ(v.cycle, 1u);
+    EXPECT_EQ(c.design->net(v.net).name, "w");
+    EXPECT_EQ(v.taint, *c.design->policy.lattice().find("H"));
 }
 
 } // namespace

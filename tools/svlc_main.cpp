@@ -742,20 +742,23 @@ int cmd_taint(const Args& args) {
         simulator.set_input(name, value);
     for (uint64_t i = 0; i < args.cycles; ++i)
         tracker.step(simulator);
+    const auto& violations = tracker.violations();
     std::printf("ran %llu cycles with GLIFT-style tracking: %zu "
                 "violation(s)\n",
                 static_cast<unsigned long long>(args.cycles),
-                tracker.violations().size());
-    for (const auto& v : tracker.violations()) {
+                violations.size());
+    constexpr size_t kListed = 10;
+    for (size_t i = 0; i < violations.size() && i < kListed; ++i) {
+        const auto& v = violations[i];
         std::printf("  cycle %llu: net '%s' tainted %s but labeled %s\n",
                     static_cast<unsigned long long>(v.cycle),
                     design->net(v.net).name.c_str(),
                     design->policy.lattice().name(v.taint).c_str(),
                     design->policy.lattice().name(v.declared).c_str());
-        if (tracker.violations().size() > 10)
-            break;
     }
-    return tracker.violations().empty() ? 0 : 1;
+    if (violations.size() > kListed)
+        std::printf("  ... and %zu more\n", violations.size() - kListed);
+    return violations.empty() ? 0 : 1;
 }
 
 int cmd_hunt(const Args& args) {
