@@ -59,8 +59,8 @@ void print_table() {
 
     // Dynamic clearing (prior work): applied to a fresh design copy.
     auto cleared_design = compile_cpu(labeled_cpu_source());
+    auto report = xform::apply_dynamic_clearing(*cleared_design);
     DiagnosticEngine diags;
-    auto report = xform::apply_dynamic_clearing(*cleared_design, diags);
     sem::analyze_wellformed(*cleared_design, diags);
     uint32_t cleared = kernel_sum(*cleared_design);
 
@@ -99,8 +99,7 @@ void bm_apply_clearing(benchmark::State& state) {
     std::string src = labeled_cpu_source();
     for (auto _ : state) {
         auto design = compile_cpu(src);
-        DiagnosticEngine diags;
-        auto report = xform::apply_dynamic_clearing(*design, diags);
+        auto report = xform::apply_dynamic_clearing(*design);
         benchmark::DoNotOptimize(report.inserted_writes);
     }
 }

@@ -85,8 +85,7 @@ void print_table() {
     // Dynamic clearing is not precise: it inserts clears even for the
     // downgrade-only design.
     auto design = compile(gpr_design(false, false, false));
-    DiagnosticEngine diags;
-    auto report = xform::apply_dynamic_clearing(*design, diags);
+    auto report = xform::apply_dynamic_clearing(*design);
     std::printf("\ndynamic clearing on the downgrade-only design inserts "
                 "%zu clears\n(%zu registers) although the type system "
                 "proves none are needed.\n",

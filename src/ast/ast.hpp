@@ -3,6 +3,7 @@
 // the flat HIR that the checker, simulator, and back ends consume.
 #pragma once
 
+#include "ast/ops.hpp"
 #include "support/bitvec.hpp"
 #include "support/source_location.hpp"
 
@@ -16,17 +17,7 @@ namespace svlc::ast {
 // Expressions
 // ---------------------------------------------------------------------------
 
-enum class UnaryOp { Neg, BitNot, LogNot, RedAnd, RedOr, RedXor };
-enum class BinaryOp {
-    Add, Sub, Mul, Div, Mod,
-    And, Or, Xor,
-    Shl, Shr,
-    Eq, Ne, Lt, Le, Gt, Ge,
-    LogAnd, LogOr,
-};
-
-const char* unary_op_text(UnaryOp op);
-const char* binary_op_text(BinaryOp op);
+// UnaryOp and BinaryOp come from the operator table (ast/ops.hpp).
 
 enum class ExprKind {
     Number,

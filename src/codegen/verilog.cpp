@@ -100,50 +100,18 @@ void Emitter::emit_expr(std::ostringstream& os, const Expr& e) {
                << ")";
         }
         return;
-    case ExprKind::Unary: {
-        const char* op = "";
-        switch (e.un_op) {
-        case UnaryOp::Neg: op = "-"; break;
-        case UnaryOp::BitNot: op = "~"; break;
-        case UnaryOp::LogNot: op = "!"; break;
-        case UnaryOp::RedAnd: op = "&"; break;
-        case UnaryOp::RedOr: op = "|"; break;
-        case UnaryOp::RedXor: op = "^"; break;
-        }
-        os << op << "(";
+    case ExprKind::Unary:
+        os << ast::unary_op_text(e.un_op) << "(";
         emit_expr(os, *e.a);
         os << ")";
         return;
-    }
-    case ExprKind::Binary: {
-        const char* op = "";
-        switch (e.bin_op) {
-        case BinaryOp::Add: op = "+"; break;
-        case BinaryOp::Sub: op = "-"; break;
-        case BinaryOp::Mul: op = "*"; break;
-        case BinaryOp::Div: op = "/"; break;
-        case BinaryOp::Mod: op = "%"; break;
-        case BinaryOp::And: op = "&"; break;
-        case BinaryOp::Or: op = "|"; break;
-        case BinaryOp::Xor: op = "^"; break;
-        case BinaryOp::Shl: op = "<<"; break;
-        case BinaryOp::Shr: op = ">>"; break;
-        case BinaryOp::Eq: op = "=="; break;
-        case BinaryOp::Ne: op = "!="; break;
-        case BinaryOp::Lt: op = "<"; break;
-        case BinaryOp::Le: op = "<="; break;
-        case BinaryOp::Gt: op = ">"; break;
-        case BinaryOp::Ge: op = ">="; break;
-        case BinaryOp::LogAnd: op = "&&"; break;
-        case BinaryOp::LogOr: op = "||"; break;
-        }
+    case ExprKind::Binary:
         os << "(";
         emit_expr(os, *e.a);
-        os << " " << op << " ";
+        os << " " << ast::binary_op_text(e.bin_op) << " ";
         emit_expr(os, *e.b);
         os << ")";
         return;
-    }
     case ExprKind::Cond:
         os << "(";
         emit_expr(os, *e.a);

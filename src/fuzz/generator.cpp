@@ -14,6 +14,14 @@ namespace {
 /// neighbours of the 64-bit BitVec limit.
 const std::vector<uint32_t> kWidths = {1, 2, 7, 8, 16, 31, 32, 63, 64};
 
+/// "<prefix><i>", built by appending: GCC 12 at -O3 reports a false
+/// -Wrestrict on `"prefix" + std::to_string(i)`.
+std::string numbered(const char* prefix, size_t i) {
+    std::string s = prefix;
+    s += std::to_string(i);
+    return s;
+}
+
 std::string hex_literal(uint32_t width, uint64_t value) {
     char buf[32];
     std::snprintf(buf, sizeof buf, "%u'h%llx", width,
@@ -91,7 +99,7 @@ private:
         } else {
             size_t n = 2 + rng_.below(3);
             for (size_t i = 0; i < n; ++i)
-                levels_.push_back("L" + std::to_string(i));
+                levels_.push_back(numbered("L", i));
         }
     }
 
@@ -126,7 +134,7 @@ private:
         size_t n = 1 + rng_.below(2);
         for (size_t i = 0; i < n; ++i) {
             FuncInfo f;
-            f.name = "f" + std::to_string(i);
+            f.name = numbered("f", i);
             f.arg_width = rng_.chance(70) ? 1 : 2;
             uint64_t domain = uint64_t{1} << f.arg_width;
             f.def_level = static_cast<int>(rng_.below(levels_.size()));
@@ -170,7 +178,7 @@ private:
         size_t n_in = 2 + rng_.below(3);
         for (size_t i = 0; i < n_in; ++i) {
             int lev = low_level();
-            nets_.push_back({"in" + std::to_string(i), pick_width(), false,
+            nets_.push_back({numbered("in", i), pick_width(), false,
                              true, false, lev, lev, -1, 0, levels_[lev]});
         }
 
@@ -178,7 +186,7 @@ private:
         size_t groups = 1 + rng_.below(2);
         for (size_t i = 0; i < n_reg; ++i) {
             NetInfo r;
-            r.name = "r" + std::to_string(i);
+            r.name = numbered("r", i);
             r.width = pick_width();
             r.seq = true;
             r.group = 1 + static_cast<int>(rng_.below(groups));
@@ -212,14 +220,14 @@ private:
         size_t n_wire = 1 + rng_.below(3);
         for (size_t i = 0; i < n_wire; ++i) {
             int lev = static_cast<int>(rng_.below(levels_.size()));
-            nets_.push_back({"w" + std::to_string(i), pick_width(), false,
+            nets_.push_back({numbered("w", i), pick_width(), false,
                              false, false, lev, lev, -1, 0, levels_[lev]});
         }
 
         size_t n_out = 1 + rng_.below(2);
         for (size_t i = 0; i < n_out; ++i) {
             int lev = high_level();
-            nets_.push_back({"out" + std::to_string(i), pick_width(), false,
+            nets_.push_back({numbered("out", i), pick_width(), false,
                              false, true, lev, lev, -1, 0, levels_[lev]});
         }
     }
@@ -364,7 +372,8 @@ private:
     // --- emission ---------------------------------------------------------
 
     void emit() {
-        line("// generated by svlc fuzz, seed " + std::to_string(opts_.seed));
+        src_ += "// generated by svlc fuzz, seed "; // appended: see numbered()
+        line(std::to_string(opts_.seed));
         emit_policy();
         emit_module();
     }
@@ -384,9 +393,11 @@ private:
         for (const auto& f : funcs_) {
             std::string d = "function " + f.name + "(x:" +
                             std::to_string(f.arg_width) + ") {";
-            for (const auto& [v, lev] : f.entries)
-                d += " " + std::to_string(v) + " -> " +
+            for (const auto& [v, lev] : f.entries) {
+                d += ' '; // appended: see numbered()
+                d += std::to_string(v) + " -> " +
                      levels_[static_cast<size_t>(lev)] + ";";
+            }
             d += " default -> " + levels_[static_cast<size_t>(f.def_level)] +
                  "; }";
             line(d);

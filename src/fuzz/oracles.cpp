@@ -10,7 +10,6 @@
 #include "sim/simulator.hpp"
 #include "verify/noninterference.hpp"
 #include "xform/clearing.hpp"
-#include "xform/simplify.hpp"
 
 #include <sstream>
 
@@ -288,22 +287,13 @@ std::optional<Finding> run_xform(const std::string& source,
     if (!ref.elaborate())
         return std::nullopt;
 
-    // simplify_design is documented semantics-preserving: the simplified
-    // design must match the reference cycle-for-cycle on every net.
-    pipeline::Compilation simp = make_compilation(source, cfg);
-    simp.elaborate();
-    xform::simplify_design(*simp.design());
-    if (auto d = lockstep_diff(*ref.design(), *simp.design(),
-                               cfg.sim_cycles, cfg.seed))
-        return Finding{Oracle::Xform, "simplify changed behavior: " + *d};
-
     // Dynamic clearing: a no-op report must be a no-op in behavior; when
     // it does insert clears the result must still be well-formed and
     // simulable (trace equality is intentionally NOT preserved then).
     pipeline::Compilation cleared = make_compilation(source, cfg);
     cleared.elaborate();
     xform::ClearingReport rep =
-        xform::apply_dynamic_clearing(*cleared.design(), cleared.diags());
+        xform::apply_dynamic_clearing(*cleared.design());
     if (!sem::analyze_wellformed(*cleared.design(), cleared.diags()))
         return Finding{Oracle::Xform,
                        "clearing produced an ill-formed design: " +

@@ -13,9 +13,9 @@
 //               every observer level — the paper's central theorem.
 //   roundtrip   ast::print output reparses, and printing the reparse
 //               reproduces the same text (print is a fixpoint).
-//   xform       simplify_design preserves cycle-accurate traces, and
-//               dynamic clearing either inserts nothing and preserves
-//               traces or yields a well-formed, simulable design.
+//   xform       dynamic clearing either inserts nothing and preserves
+//               cycle-accurate traces or yields a well-formed, simulable
+//               design.
 #pragma once
 
 #include "check/typecheck.hpp"

@@ -34,7 +34,7 @@ uint32_t enc_sysret() {
 std::string disassemble(uint32_t raw) {
     Instr i{raw};
     std::ostringstream os;
-    auto r = [](uint32_t n) { return "$" + std::to_string(n); };
+    auto r = [](uint32_t n) { return '$' + std::to_string(n); };
     switch (static_cast<Opcode>(i.op())) {
     case Opcode::Special:
         switch (static_cast<Funct>(i.funct())) {

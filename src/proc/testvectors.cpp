@@ -8,7 +8,6 @@ namespace svlc::proc {
 
 namespace {
 
-const char* kSpinKernel = "spin: j spin\n";
 const char* kSpinUser = "spin: j spin\n";
 
 /// Kernel image that immediately drops to user mode (epc starts at 0, so

@@ -395,45 +395,14 @@ ExprPtr Elaborator::fold(ExprPtr e) {
         }
         return e;
     case ExprKind::Unary:
-        if (is_const(e->a)) {
-            BitVec v = e->a->value;
-            BitVec r;
-            switch (e->un_op) {
-            case UnaryOp::Neg: r = BitVec(v.width(), 0) - v; break;
-            case UnaryOp::BitNot: r = v.bit_not(); break;
-            case UnaryOp::LogNot: r = v.log_not(); break;
-            case UnaryOp::RedAnd: r = v.red_and(); break;
-            case UnaryOp::RedOr: r = v.red_or(); break;
-            case UnaryOp::RedXor: r = v.red_xor(); break;
-            }
-            return Expr::make_const(r, e->loc);
-        }
+        if (is_const(e->a))
+            return Expr::make_const(eval_unary(e->un_op, e->a->value),
+                                    e->loc);
         return e;
     case ExprKind::Binary:
-        if (is_const(e->a) && is_const(e->b)) {
-            BitVec a = e->a->value, b = e->b->value, r;
-            switch (e->bin_op) {
-            case BinaryOp::Add: r = a + b; break;
-            case BinaryOp::Sub: r = a - b; break;
-            case BinaryOp::Mul: r = a * b; break;
-            case BinaryOp::Div: r = a / b; break;
-            case BinaryOp::Mod: r = a % b; break;
-            case BinaryOp::And: r = a & b; break;
-            case BinaryOp::Or: r = a | b; break;
-            case BinaryOp::Xor: r = a ^ b; break;
-            case BinaryOp::Shl: r = a << b; break;
-            case BinaryOp::Shr: r = a >> b; break;
-            case BinaryOp::Eq: r = a.eq(b); break;
-            case BinaryOp::Ne: r = a.ne(b); break;
-            case BinaryOp::Lt: r = a.lt(b); break;
-            case BinaryOp::Le: r = a.le(b); break;
-            case BinaryOp::Gt: r = a.gt(b); break;
-            case BinaryOp::Ge: r = a.ge(b); break;
-            case BinaryOp::LogAnd: r = a.log_and(b); break;
-            case BinaryOp::LogOr: r = a.log_or(b); break;
-            }
-            return Expr::make_const(r, e->loc);
-        }
+        if (is_const(e->a) && is_const(e->b))
+            return Expr::make_const(
+                eval_binary(e->bin_op, e->a->value, e->b->value), e->loc);
         return e;
     case ExprKind::Cond:
         if (is_const(e->a))
@@ -585,22 +554,20 @@ ExprPtr Elaborator::lower_expr(const ast::Expr& e, Scope& scope, bool in_next) {
     }
     case ast::ExprKind::Unary: {
         const auto& n = static_cast<const ast::UnaryExpr&>(e);
-        auto op = static_cast<UnaryOp>(n.op); // enums mirror each other
-        return fold(Expr::make_unary(op, lower_expr(*n.operand, scope, in_next),
-                                     n.loc));
+        return fold(Expr::make_unary(
+            n.op, lower_expr(*n.operand, scope, in_next), n.loc));
     }
     case ast::ExprKind::Binary: {
         const auto& n = static_cast<const ast::BinaryExpr&>(e);
-        auto op = static_cast<BinaryOp>(n.op);
         ExprPtr lhs = lower_expr(*n.lhs, scope, in_next);
         ExprPtr rhs = lower_expr(*n.rhs, scope, in_next);
         // Harmonize widths for arithmetic/bitwise/comparison ops.
-        if (op != BinaryOp::Shl && op != BinaryOp::Shr) {
+        if (n.op != BinaryOp::Shl && n.op != BinaryOp::Shr) {
             uint32_t w = std::max(lhs->width, rhs->width);
             lhs = resize(std::move(lhs), w);
             rhs = resize(std::move(rhs), w);
         }
-        return fold(Expr::make_binary(op, std::move(lhs), std::move(rhs),
+        return fold(Expr::make_binary(n.op, std::move(lhs), std::move(rhs),
                                       n.loc));
     }
     case ast::ExprKind::Cond: {

@@ -143,41 +143,6 @@ void Expr::collect_reads(std::vector<NetId>& plain,
 }
 
 namespace {
-const char* un_text(UnaryOp op) {
-    switch (op) {
-    case UnaryOp::Neg: return "-";
-    case UnaryOp::BitNot: return "~";
-    case UnaryOp::LogNot: return "!";
-    case UnaryOp::RedAnd: return "&";
-    case UnaryOp::RedOr: return "|";
-    case UnaryOp::RedXor: return "^";
-    }
-    return "?";
-}
-const char* bin_text(BinaryOp op) {
-    switch (op) {
-    case BinaryOp::Add: return "+";
-    case BinaryOp::Sub: return "-";
-    case BinaryOp::Mul: return "*";
-    case BinaryOp::Div: return "/";
-    case BinaryOp::Mod: return "%";
-    case BinaryOp::And: return "&";
-    case BinaryOp::Or: return "|";
-    case BinaryOp::Xor: return "^";
-    case BinaryOp::Shl: return "<<";
-    case BinaryOp::Shr: return ">>";
-    case BinaryOp::Eq: return "==";
-    case BinaryOp::Ne: return "!=";
-    case BinaryOp::Lt: return "<";
-    case BinaryOp::Le: return "<=";
-    case BinaryOp::Gt: return ">";
-    case BinaryOp::Ge: return ">=";
-    case BinaryOp::LogAnd: return "&&";
-    case BinaryOp::LogOr: return "||";
-    }
-    return "?";
-}
-
 void expr_str(std::ostringstream& os, const Expr& e,
               const std::vector<std::string>& names) {
     switch (e.kind) {
@@ -202,14 +167,14 @@ void expr_str(std::ostringstream& os, const Expr& e,
         os << "[" << e.msb << ":" << e.lsb << "]";
         break;
     case ExprKind::Unary:
-        os << un_text(e.un_op) << "(";
+        os << ast::unary_op_text(e.un_op) << "(";
         expr_str(os, *e.a, names);
         os << ")";
         break;
     case ExprKind::Binary:
         os << "(";
         expr_str(os, *e.a, names);
-        os << " " << bin_text(e.bin_op) << " ";
+        os << " " << ast::binary_op_text(e.bin_op) << " ";
         expr_str(os, *e.b, names);
         os << ")";
         break;

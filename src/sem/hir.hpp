@@ -5,6 +5,7 @@
 // distributes `next` down to primed net references.
 #pragma once
 
+#include "ast/ops.hpp"
 #include "lattice/label_function.hpp"
 #include "support/bitvec.hpp"
 #include "support/source_location.hpp"
@@ -69,14 +70,10 @@ struct Label {
 // Expressions
 // ---------------------------------------------------------------------------
 
-enum class UnaryOp { Neg, BitNot, LogNot, RedAnd, RedOr, RedXor };
-enum class BinaryOp {
-    Add, Sub, Mul, Div, Mod,
-    And, Or, Xor,
-    Shl, Shr,
-    Eq, Ne, Lt, Le, Gt, Ge,
-    LogAnd, LogOr,
-};
+// The HIR shares the AST's operators, spelling and bit-vector semantics
+// (ast/ops.hpp).
+using ast::BinaryOp;
+using ast::UnaryOp;
 enum class DowngradeKind { Endorse, Declassify };
 
 enum class ExprKind {

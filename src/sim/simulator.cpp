@@ -96,51 +96,16 @@ BitVec Simulator::eval(const Expr& e) const {
     }
     case ExprKind::Slice:
         return eval(*e.a).slice(e.msb, e.lsb);
-    case ExprKind::Unary: {
-        BitVec v = eval(*e.a);
-        switch (e.un_op) {
-        case UnaryOp::Neg: return BitVec(v.width(), 0) - v;
-        case UnaryOp::BitNot: return v.bit_not();
-        case UnaryOp::LogNot: return v.log_not();
-        case UnaryOp::RedAnd: return v.red_and();
-        case UnaryOp::RedOr: return v.red_or();
-        case UnaryOp::RedXor: return v.red_xor();
-        }
-        return v;
-    }
+    case ExprKind::Unary:
+        return eval_unary(e.un_op, eval(*e.a));
     case ExprKind::Binary: {
-        // Short-circuit the logical operators.
-        if (e.bin_op == BinaryOp::LogAnd) {
-            if (!eval(*e.a).to_bool())
-                return BitVec(1, 0);
-            return BitVec(1, eval(*e.b).to_bool());
-        }
-        if (e.bin_op == BinaryOp::LogOr) {
-            if (eval(*e.a).to_bool())
-                return BitVec(1, 1);
-            return BitVec(1, eval(*e.b).to_bool());
-        }
         BitVec a = eval(*e.a);
-        BitVec b = eval(*e.b);
-        switch (e.bin_op) {
-        case BinaryOp::Add: return a + b;
-        case BinaryOp::Sub: return a - b;
-        case BinaryOp::Mul: return a * b;
-        case BinaryOp::Div: return a / b;
-        case BinaryOp::Mod: return a % b;
-        case BinaryOp::And: return a & b;
-        case BinaryOp::Or: return a | b;
-        case BinaryOp::Xor: return a ^ b;
-        case BinaryOp::Shl: return a << b;
-        case BinaryOp::Shr: return a >> b;
-        case BinaryOp::Eq: return a.eq(b);
-        case BinaryOp::Ne: return a.ne(b);
-        case BinaryOp::Lt: return a.lt(b);
-        case BinaryOp::Le: return a.le(b);
-        case BinaryOp::Gt: return a.gt(b);
-        case BinaryOp::Ge: return a.ge(b);
-        default: return a;
-        }
+        // Short-circuit the logical operators: a decided `&&` or `||`
+        // never evaluates its right operand.
+        if ((e.bin_op == BinaryOp::LogAnd && !a.to_bool()) ||
+            (e.bin_op == BinaryOp::LogOr && a.to_bool()))
+            return BitVec(1, a.to_bool());
+        return eval_binary(e.bin_op, a, eval(*e.b));
     }
     case ExprKind::Cond:
         return eval(*e.a).to_bool() ? eval(*e.b) : eval(*e.c);

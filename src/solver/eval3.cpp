@@ -24,66 +24,24 @@ std::optional<BitVec> eval3(const Expr& e, const Assignment& asg) {
         auto v = eval3(*e.a, asg);
         if (!v)
             return std::nullopt;
-        switch (e.un_op) {
-        case UnaryOp::Neg: return BitVec(v->width(), 0) - *v;
-        case UnaryOp::BitNot: return v->bit_not();
-        case UnaryOp::LogNot: return v->log_not();
-        case UnaryOp::RedAnd: return v->red_and();
-        case UnaryOp::RedOr: return v->red_or();
-        case UnaryOp::RedXor: return v->red_xor();
-        }
-        return std::nullopt;
+        return eval_unary(e.un_op, *v);
     }
     case ExprKind::Binary: {
         auto a = eval3(*e.a, asg);
         auto b = eval3(*e.b, asg);
-        // Short-circuit rules that stay sound under partial knowledge.
-        if (e.bin_op == BinaryOp::LogAnd) {
-            if ((a && a->is_zero()) || (b && b->is_zero()))
-                return BitVec(1, 0);
-            if (a && b)
-                return a->log_and(*b);
-            return std::nullopt;
-        }
-        if (e.bin_op == BinaryOp::LogOr) {
-            if ((a && a->to_bool()) || (b && b->to_bool()))
-                return BitVec(1, 1);
-            if (a && b)
-                return a->log_or(*b);
-            return std::nullopt;
-        }
-        if (e.bin_op == BinaryOp::And) {
-            if ((a && a->is_zero()) || (b && b->is_zero()))
-                return BitVec(e.width, 0);
-        }
-        if (e.bin_op == BinaryOp::Mul) {
-            if ((a && a->is_zero()) || (b && b->is_zero()))
-                return BitVec(e.width, 0);
-        }
+        // Shortcuts that stay sound under partial knowledge: one known
+        // operand decides `||` when nonzero, and `&&`, `&` and `*` when
+        // zero (`&&` has width 1).
+        if (e.bin_op == BinaryOp::LogOr &&
+            ((a && a->to_bool()) || (b && b->to_bool())))
+            return BitVec(1, 1);
+        if ((e.bin_op == BinaryOp::LogAnd || e.bin_op == BinaryOp::And ||
+             e.bin_op == BinaryOp::Mul) &&
+            ((a && a->is_zero()) || (b && b->is_zero())))
+            return BitVec(e.width, 0);
         if (!a || !b)
             return std::nullopt;
-        switch (e.bin_op) {
-        case BinaryOp::Add: return *a + *b;
-        case BinaryOp::Sub: return *a - *b;
-        case BinaryOp::Mul: return *a * *b;
-        case BinaryOp::Div: return *a / *b;
-        case BinaryOp::Mod: return *a % *b;
-        case BinaryOp::And: return *a & *b;
-        case BinaryOp::Or: return *a | *b;
-        case BinaryOp::Xor: return *a ^ *b;
-        case BinaryOp::Shl: return *a << *b;
-        case BinaryOp::Shr: return *a >> *b;
-        case BinaryOp::Eq: return a->eq(*b);
-        case BinaryOp::Ne: return a->ne(*b);
-        case BinaryOp::Lt: return a->lt(*b);
-        case BinaryOp::Le: return a->le(*b);
-        case BinaryOp::Gt: return a->gt(*b);
-        case BinaryOp::Ge: return a->ge(*b);
-        case BinaryOp::LogAnd:
-        case BinaryOp::LogOr:
-            break; // handled above
-        }
-        return std::nullopt;
+        return eval_binary(e.bin_op, *a, *b);
     }
     case ExprKind::Cond: {
         auto c = eval3(*e.a, asg);

@@ -79,7 +79,7 @@ struct Compiler {
             TermInstr i;
             i.op = TermOp::Binary;
             i.sub = static_cast<uint8_t>(e.bin_op);
-            i.width = e.width; // And/Mul zero-shortcut result width
+            i.width = e.width; // zero-shortcut result width
             push(i, -1);
             return;
         }
@@ -165,16 +165,8 @@ std::optional<BitVec> eval_term(const TermProgram& p, const BitLayout& layout,
         }
         case TermOp::Unary: {
             Val& v = st.back();
-            if (!v.known)
-                break;
-            switch (static_cast<UnaryOp>(i.sub)) {
-            case UnaryOp::Neg: v.v = BitVec(v.v.width(), 0) - v.v; break;
-            case UnaryOp::BitNot: v.v = v.v.bit_not(); break;
-            case UnaryOp::LogNot: v.v = v.v.log_not(); break;
-            case UnaryOp::RedAnd: v.v = v.v.red_and(); break;
-            case UnaryOp::RedOr: v.v = v.v.red_or(); break;
-            case UnaryOp::RedXor: v.v = v.v.red_xor(); break;
-            }
+            if (v.known)
+                v.v = eval_unary(static_cast<UnaryOp>(i.sub), v.v);
             break;
         }
         case TermOp::Binary: {
@@ -182,55 +174,22 @@ std::optional<BitVec> eval_term(const TermProgram& p, const BitLayout& layout,
             st.pop_back();
             Val& a = st.back();
             auto op = static_cast<BinaryOp>(i.sub);
-            // Short-circuit rules, exactly eval3's.
-            if (op == BinaryOp::LogAnd) {
-                if ((a.known && a.v.is_zero()) || (b.known && b.v.is_zero()))
-                    a = Val{true, BitVec(1, 0)};
-                else if (a.known && b.known)
-                    a.v = a.v.log_and(b.v);
-                else
-                    a.known = false;
+            // Shortcut rules, exactly eval3's.
+            if (op == BinaryOp::LogOr &&
+                ((a.known && a.v.to_bool()) || (b.known && b.v.to_bool()))) {
+                a = Val{true, BitVec(1, 1)};
                 break;
             }
-            if (op == BinaryOp::LogOr) {
-                if ((a.known && a.v.to_bool()) || (b.known && b.v.to_bool()))
-                    a = Val{true, BitVec(1, 1)};
-                else if (a.known && b.known)
-                    a.v = a.v.log_or(b.v);
-                else
-                    a.known = false;
+            if ((op == BinaryOp::LogAnd || op == BinaryOp::And ||
+                 op == BinaryOp::Mul) &&
+                ((a.known && a.v.is_zero()) || (b.known && b.v.is_zero()))) {
+                a = Val{true, BitVec(i.width, 0)};
                 break;
             }
-            if (op == BinaryOp::And || op == BinaryOp::Mul) {
-                if ((a.known && a.v.is_zero()) || (b.known && b.v.is_zero())) {
-                    a = Val{true, BitVec(i.width, 0)};
-                    break;
-                }
-            }
-            if (!a.known || !b.known) {
+            if (a.known && b.known)
+                a.v = eval_binary(op, a.v, b.v);
+            else
                 a.known = false;
-                break;
-            }
-            switch (op) {
-            case BinaryOp::Add: a.v = a.v + b.v; break;
-            case BinaryOp::Sub: a.v = a.v - b.v; break;
-            case BinaryOp::Mul: a.v = a.v * b.v; break;
-            case BinaryOp::Div: a.v = a.v / b.v; break;
-            case BinaryOp::Mod: a.v = a.v % b.v; break;
-            case BinaryOp::And: a.v = a.v & b.v; break;
-            case BinaryOp::Or: a.v = a.v | b.v; break;
-            case BinaryOp::Xor: a.v = a.v ^ b.v; break;
-            case BinaryOp::Shl: a.v = a.v << b.v; break;
-            case BinaryOp::Shr: a.v = a.v >> b.v; break;
-            case BinaryOp::Eq: a.v = a.v.eq(b.v); break;
-            case BinaryOp::Ne: a.v = a.v.ne(b.v); break;
-            case BinaryOp::Lt: a.v = a.v.lt(b.v); break;
-            case BinaryOp::Le: a.v = a.v.le(b.v); break;
-            case BinaryOp::Gt: a.v = a.v.gt(b.v); break;
-            case BinaryOp::Ge: a.v = a.v.ge(b.v); break;
-            case BinaryOp::LogAnd:
-            case BinaryOp::LogOr: break; // handled above
-            }
             break;
         }
         case TermOp::Cond: {

@@ -93,9 +93,7 @@ ExprPtr materialize_label_level(const Design& design, const Label& label,
     return acc;
 }
 
-ClearingReport apply_dynamic_clearing(Design& design, DiagnosticEngine& diags,
-                                      const ClearingOptions& opts) {
-    (void)diags;
+ClearingReport apply_dynamic_clearing(Design& design) {
     ClearingReport report;
 
     // Find (or create) the driving process of each dynamic register and
@@ -107,35 +105,12 @@ ClearingReport apply_dynamic_clearing(Design& design, DiagnosticEngine& diags,
             continue;
 
         // Build the "label changed" condition.
-        ExprPtr changed;
-        if (opts.compare_levels) {
-            ExprPtr cur = materialize_label_level(design, net_info.label,
-                                                  /*next_cycle=*/false);
-            ExprPtr nxt = materialize_label_level(design, net_info.label,
-                                                  /*next_cycle=*/true);
-            changed = Expr::make_binary(BinaryOp::Ne, std::move(cur),
-                                        std::move(nxt));
-        } else {
-            sem::Equations eqs = sem::build_equations(design);
-            for (NetId arg : net_info.label.dependencies()) {
-                const Net& argnet = design.net(arg);
-                if (argnet.kind != NetKind::Seq)
-                    continue;
-                const Expr* def = eqs.def(arg);
-                ExprPtr next_val = def ? def->clone()
-                                       : Expr::make_net(arg, argnet.width);
-                ExprPtr cmp = Expr::make_binary(
-                    BinaryOp::Ne, Expr::make_net(arg, argnet.width),
-                    std::move(next_val));
-                changed = changed
-                              ? Expr::make_binary(BinaryOp::LogOr,
-                                                  std::move(changed),
-                                                  std::move(cmp))
-                              : std::move(cmp);
-            }
-        }
-        if (!changed)
-            continue; // label depends on nothing sequential; never changes
+        ExprPtr cur = materialize_label_level(design, net_info.label,
+                                              /*next_cycle=*/false);
+        ExprPtr nxt = materialize_label_level(design, net_info.label,
+                                              /*next_cycle=*/true);
+        ExprPtr changed = Expr::make_binary(BinaryOp::Ne, std::move(cur),
+                                            std::move(nxt));
 
         // Build the clear statement(s).
         auto make_clear = [&](ExprPtr index) {

@@ -15,18 +15,10 @@
 #pragma once
 
 #include "sem/hir.hpp"
-#include "support/diagnostics.hpp"
 
 #include <vector>
 
 namespace svlc::xform {
-
-struct ClearingOptions {
-    /// Compare materialized label *levels* (clear only when the label
-    /// value actually changes). When false, compare the label's argument
-    /// nets instead (even more conservative).
-    bool compare_levels = true;
-};
 
 struct ClearingReport {
     /// Registers that received clearing logic.
@@ -44,11 +36,10 @@ hir::ExprPtr materialize_label_level(const hir::Design& design,
                                      const hir::Label& label,
                                      bool next_cycle);
 
-/// Applies dynamic clearing in place. The caller must re-run
-/// sem::analyze_wellformed afterwards (read/write sets and the schedule
-/// change). Returns the report of what was inserted.
-ClearingReport apply_dynamic_clearing(hir::Design& design,
-                                      DiagnosticEngine& diags,
-                                      const ClearingOptions& opts = {});
+/// Applies dynamic clearing in place: a register is cleared whenever its
+/// label's materialized level changes between this cycle and the next.
+/// The caller must re-run sem::analyze_wellformed afterwards (read/write
+/// sets and the schedule change). Returns the report of what was inserted.
+ClearingReport apply_dynamic_clearing(hir::Design& design);
 
 } // namespace svlc::xform

@@ -129,11 +129,12 @@ TEST(BudgetAblation, TighteningNeverFlipsAVerdict) {
                 for (const auto& [id, tstatus] : tight) {
                     ASSERT_TRUE(baseline.count(id)) << file << " " << id;
                     EntailStatus bstatus = baseline[id];
-                    if (tstatus == EntailStatus::Proven)
+                    if (tstatus == EntailStatus::Proven) {
                         EXPECT_EQ(bstatus, EntailStatus::Proven)
                             << file << " " << id
                             << ": tightened budget proved what the full "
                                "budget could not";
+                    }
                     if (tstatus == EntailStatus::Refuted &&
                         bstatus == EntailStatus::Proven)
                         ADD_FAILURE()

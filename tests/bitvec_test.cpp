@@ -132,16 +132,16 @@ TEST(BitVec, ConcatAtSixtyFourBitBoundary) {
     BitVec one(1, 1);
     EXPECT_EQ(one.concat(BitVec(63, 0)).width(), 64u);
     // 64 + 1 = 65 bits: must throw, not wrap.
-    EXPECT_THROW(full.concat(one), BitVecError);
-    EXPECT_THROW(one.concat(full), BitVecError);
+    EXPECT_THROW((void)full.concat(one), BitVecError);
+    EXPECT_THROW((void)one.concat(full), BitVecError);
 }
 
 TEST(BitVec, SliceBoundsAreChecked) {
     BitVec v(8, 0xA5);
     EXPECT_EQ(v.slice(7, 0).value(), 0xA5u);
     EXPECT_EQ(v.slice(3, 0).value(), 0x5u);
-    EXPECT_THROW(v.slice(8, 0), BitVecError);  // hi >= width
-    EXPECT_THROW(v.slice(2, 5), BitVecError);  // hi < lo
+    EXPECT_THROW((void)v.slice(8, 0), BitVecError);  // hi >= width
+    EXPECT_THROW((void)v.slice(2, 5), BitVecError);  // hi < lo
 }
 
 } // namespace

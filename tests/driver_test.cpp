@@ -236,11 +236,15 @@ TEST(Driver, UnreadableFileIsErrorNotCrash) {
 class DriverDiscoveryTest : public ::testing::Test {
 protected:
     void SetUp() override {
+        // Keyed by test name: ctest runs each test in its own process,
+        // so only the name tells parallel tests' directories apart.
         dir_ = fs::temp_directory_path() /
-               ("svlc_driver_test_" +
-                std::to_string(::testing::UnitTest::GetInstance()
-                                   ->random_seed()) +
-                "_" + std::to_string(counter_++));
+               (std::string("svlc_driver_test_") +
+                ::testing::UnitTest::GetInstance()
+                    ->current_test_info()
+                    ->name());
+        std::error_code ec;
+        fs::remove_all(dir_, ec);
         fs::create_directories(dir_ / "nested");
     }
     void TearDown() override {
@@ -252,9 +256,7 @@ protected:
         out << text;
     }
     fs::path dir_;
-    static int counter_;
 };
-int DriverDiscoveryTest::counter_ = 0;
 
 TEST_F(DriverDiscoveryTest, DirectoryGlobSortedRecursive) {
     write("b.svlc", kTrivial);

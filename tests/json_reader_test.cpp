@@ -181,7 +181,7 @@ JsonValue random_value(Rng& rng, int depth) {
         JsonValue obj = JsonValue::object();
         size_t n = rng.below(4);
         for (size_t i = 0; i < n; ++i)
-            obj.set("k" + std::to_string(i), random_value(rng, depth + 1));
+            obj.set('k' + std::to_string(i), random_value(rng, depth + 1));
         return obj;
     }
     }

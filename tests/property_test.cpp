@@ -25,7 +25,7 @@ Lattice random_lattice(std::mt19937_64& rng) {
     int mids = 1 + static_cast<int>(rng() % 4);
     std::vector<LevelId> middle;
     for (int i = 0; i < mids; ++i)
-        middle.push_back(l.add_level("M" + std::to_string(i)));
+        middle.push_back(l.add_level('M' + std::to_string(i)));
     LevelId top = l.add_level("TOP");
     for (LevelId m : middle) {
         l.add_flow(bot, m);
@@ -74,8 +74,9 @@ TEST_P(LatticeLaws, JoinMeetAlgebra) {
                     EXPECT_EQ(l.meet(l.meet(a, b), c),
                               l.meet(a, l.meet(b, c)));
                     // Monotonicity of join.
-                    if (l.flows(a, b))
+                    if (l.flows(a, b)) {
                         EXPECT_TRUE(l.flows(l.join(a, c), l.join(b, c)));
+                    }
                 }
             }
             EXPECT_TRUE(l.flows(l.bottom(), a));

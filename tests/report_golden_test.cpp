@@ -1,13 +1,17 @@
-// Golden check reports: `pipeline::check_report_json` for the built-in
-// processors and the hdl/ figures must stay byte-identical to the files
-// under tests/fixtures/reports/. The report carries every obligation's
-// verdict, witness, label pair and source location, so a change to how
-// equations, guards or facts are built that moves any of them shows up
-// here as a diff.
+// Golden outputs, compared byte for byte:
+//   * `pipeline::check_report_json` for the built-in processors and the
+//     hdl/ figures against tests/fixtures/reports/. The report carries
+//     every obligation's verdict, witness, label pair and source
+//     location, so a change to how equations, guards or facts are built
+//     that moves any of them shows up here as a diff.
+//   * `codegen::emit_verilog` for the labeled processor and the hdl/
+//     figures against tests/fixtures/verilog/, so the emitter's operator
+//     spelling, parenthesization and process lowering stay pinned.
 //
-// The fixtures are the output of the checker at the time they were
-// committed. A change that is meant to alter reports regenerates them and
+// The fixtures are the output of the tool at the time they were
+// committed. A change that is meant to alter them regenerates them and
 // says why; a change that is not must leave them untouched.
+#include "codegen/verilog.hpp"
 #include "pipeline/compilation.hpp"
 #include "proc/sources.hpp"
 #include "support/fsutil.hpp"
@@ -55,40 +59,71 @@ std::string first_difference(const std::string& got, const std::string& want) {
     }
 }
 
+/// The source text a case names: a built-in processor or an hdl/ file.
+std::string case_source(const GoldenCase& gc) {
+    if (gc.builtin)
+        return gc.builtin();
+    // label is "hdl/<file>"
+    std::string path =
+        std::string(SVLC_HDL_DIR) + std::string(gc.label).substr(3);
+    std::string source;
+    EXPECT_TRUE(read_file(path, source)) << path;
+    return source;
+}
+
+void expect_fixture(const std::string& got, const std::string& dir,
+                    const char* name) {
+    std::string fixture = std::string(SVLC_FIXTURE_DIR) + "/" + dir + "/" +
+                          name;
+    std::string want;
+    ASSERT_TRUE(read_file(fixture, want)) << fixture;
+    EXPECT_TRUE(got == want) << name << " differs at "
+                             << first_difference(got, want);
+}
+
+std::string case_name(const ::testing::TestParamInfo<GoldenCase>& info) {
+    std::string name = info.param.fixture;
+    return name.substr(0, name.find('.'));
+}
+
 class GoldenReport : public ::testing::TestWithParam<GoldenCase> {};
 
 TEST_P(GoldenReport, ByteIdenticalToFixture) {
     const GoldenCase& gc = GetParam();
-    std::string source;
-    if (gc.builtin) {
-        source = gc.builtin();
-    } else {
-        // label is "hdl/<file>"
-        std::string path =
-            std::string(SVLC_HDL_DIR) + std::string(gc.label).substr(3);
-        ASSERT_TRUE(read_file(path, source)) << path;
-    }
     pipeline::Compilation comp;
     // Label the buffer with a checkout-independent name so locs are too.
-    comp.load_text(source, gc.label);
+    comp.load_text(case_source(gc), gc.label);
     const check::CheckResult* res = comp.check();
     ASSERT_NE(res, nullptr) << comp.render_diagnostics();
-    std::string got = pipeline::check_report_json(comp, *res, gc.label);
-
-    std::string fixture =
-        std::string(SVLC_FIXTURE_DIR) + "/reports/" + gc.fixture;
-    std::string want;
-    ASSERT_TRUE(read_file(fixture, want)) << fixture;
-    EXPECT_TRUE(got == want) << gc.fixture << " differs at "
-                             << first_difference(got, want);
+    expect_fixture(pipeline::check_report_json(comp, *res, gc.label),
+                   "reports", gc.fixture);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Reports, GoldenReport, ::testing::ValuesIn(kCases),
-    [](const ::testing::TestParamInfo<GoldenCase>& info) {
-        std::string name = info.param.fixture;
-        return name.substr(0, name.find('.'));
-    });
+INSTANTIATE_TEST_SUITE_P(Reports, GoldenReport, ::testing::ValuesIn(kCases),
+                         case_name);
+
+const GoldenCase kVerilogCases[] = {
+    {"labeled.v", "builtin:labeled", proc::labeled_cpu_source},
+    {"fig3_implicit_downgrade.v", "hdl/fig3_implicit_downgrade.svlc",
+     nullptr},
+    {"fig4_mode_switch.v", "hdl/fig4_mode_switch.svlc", nullptr},
+    {"shared_counter.v", "hdl/shared_counter.svlc", nullptr},
+};
+
+class GoldenVerilog : public ::testing::TestWithParam<GoldenCase> {};
+
+TEST_P(GoldenVerilog, ByteIdenticalToFixture) {
+    const GoldenCase& gc = GetParam();
+    pipeline::Compilation comp;
+    comp.load_text(case_source(gc), gc.label);
+    ASSERT_NE(comp.elaborate(), nullptr) << comp.render_diagnostics();
+    std::string got = codegen::emit_verilog(*comp.design(), comp.diags());
+    ASSERT_FALSE(comp.diags().has_errors()) << comp.render_diagnostics();
+    expect_fixture(got, "verilog", gc.fixture);
+}
+
+INSTANTIATE_TEST_SUITE_P(Verilog, GoldenVerilog,
+                         ::testing::ValuesIn(kVerilogCases), case_name);
 
 } // namespace
 } // namespace svlc::test

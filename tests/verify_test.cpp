@@ -54,7 +54,7 @@ TEST(Noninterference, ImplicitDowngradingLeaksDynamically) {
 TEST(Noninterference, DynamicClearingRestoresSecurity) {
     auto c = compile(kFig3Driven);
     ASSERT_TRUE(c.ok()) << c.errors();
-    auto report = xform::apply_dynamic_clearing(*c.design, *c.diags);
+    auto report = xform::apply_dynamic_clearing(*c.design);
     EXPECT_EQ(report.cleared.size(), 1u);
     ASSERT_TRUE(sem::analyze_wellformed(*c.design, *c.diags)) << c.errors();
     verify::NIConfig cfg;
@@ -74,7 +74,7 @@ TEST(Noninterference, DynamicClearingDestroysTheValue) {
     // describes.
     auto c = compile(kFig3Driven);
     ASSERT_TRUE(c.ok()) << c.errors();
-    xform::apply_dynamic_clearing(*c.design, *c.diags);
+    xform::apply_dynamic_clearing(*c.design);
     ASSERT_TRUE(sem::analyze_wellformed(*c.design, *c.diags)) << c.errors();
     sim::Simulator sim(*c.design);
     sim.set_input("in_v", 1);
@@ -235,7 +235,7 @@ endmodule
 TEST(Clearing, ReportListsClearedRegisters) {
     auto c = compile(kFig3Driven);
     ASSERT_TRUE(c.ok()) << c.errors();
-    auto report = xform::apply_dynamic_clearing(*c.design, *c.diags);
+    auto report = xform::apply_dynamic_clearing(*c.design);
     ASSERT_EQ(report.cleared.size(), 1u);
     EXPECT_EQ(c.design->net(report.cleared[0]).name, "shared");
     EXPECT_EQ(report.inserted_writes, 1u);
@@ -255,7 +255,7 @@ module m(input com {T} go, input com [7:0] {U} d, input com [1:0] {U} addr);
 endmodule
 )");
     ASSERT_TRUE(c.ok()) << c.errors();
-    auto report = xform::apply_dynamic_clearing(*c.design, *c.diags);
+    auto report = xform::apply_dynamic_clearing(*c.design);
     ASSERT_EQ(report.cleared.size(), 1u);
     EXPECT_EQ(report.inserted_writes, 4u);
     ASSERT_TRUE(sem::analyze_wellformed(*c.design, *c.diags)) << c.errors();
