@@ -9,6 +9,7 @@
 #include "sem/wellformed.hpp"
 #include "sim/simulator.hpp"
 #include "verify/noninterference.hpp"
+#include "verify/taint.hpp"
 #include "xform/clearing.hpp"
 
 #include <sstream>
@@ -125,6 +126,52 @@ std::optional<std::string> lockstep_diff(const hir::Design& a,
     return std::nullopt;
 }
 
+/// The refinement invariant of docs/HUNT.md on every slot: Simulator +
+/// TaintTracker and one TaintSim per observer level step on the same
+/// stimulus, and after every cycle a scalar net or array element with a
+/// non-zero mask must hold a tracker level that does not flow to that
+/// observer. Returns the first slot that breaks it.
+std::optional<std::string> refinement_violation(const hir::Design& d,
+                                                const OracleConfig& cfg) {
+    const Lattice& lat = d.policy.lattice();
+    sim::Simulator sim(d);
+    verify::TaintTracker tracker(d);
+    std::vector<hunt::TaintSim> shadows;
+    for (LevelId o = 0; o < lat.size(); ++o)
+        shadows.emplace_back(d, o);
+    Rng rng(cfg.seed);
+    for (uint64_t c = 0; c < cfg.sim_cycles; ++c) {
+        for (const auto& n : d.nets) {
+            if (!n.is_input)
+                continue;
+            BitVec v(n.width, rng.next());
+            sim.set_input(n.id, v);
+            for (hunt::TaintSim& ts : shadows)
+                ts.set_input(n.id, v);
+        }
+        tracker.step(sim);
+        for (LevelId o = 0; o < lat.size(); ++o) {
+            shadows[o].step();
+            for (const auto& n : d.nets) {
+                for (uint64_t i = 0; i < std::max<uint64_t>(n.array_size, 1);
+                     ++i) {
+                    bool scalar = n.array_size == 0;
+                    uint64_t mask = scalar ? shadows[o].taint(n.id)
+                                           : shadows[o].array_taint(n.id, i);
+                    LevelId level = scalar ? tracker.taint(n.id)
+                                           : tracker.array_taint(n.id, i);
+                    if (mask != 0 && lat.flows(level, o))
+                        return "cycle " + std::to_string(c) + ": " + n.name +
+                               (scalar ? "" : "[" + std::to_string(i) + "]") +
+                               " is tainted for observer " + lat.name(o) +
+                               " but the tracker's level flows to it";
+                }
+            }
+        }
+    }
+    return std::nullopt;
+}
+
 std::optional<Finding> run_no_crash(const std::string& source,
                                     const OracleConfig& cfg) {
     // Everything here may *reject* (diagnostics) but must never throw.
@@ -138,6 +185,9 @@ std::optional<Finding> run_no_crash(const std::string& source,
             sim.step();
         }
         sim.settle();
+
+        if (auto v = refinement_violation(*d, cfg))
+            return Finding{Oracle::NoCrash, "refinement: " + *v};
 
         // A short hunt doubles as a refinement oracle: TaintSim's bit
         // taint is a refinement of the tracker's level taint, so every

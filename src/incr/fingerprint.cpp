@@ -11,13 +11,12 @@ std::string check_options_fingerprint(const check::CheckOptions& opts) {
     // The backend id is part of the fingerprint: backends are
     // verdict-equivalent by contract, but cached verdicts must never
     // cross backends, so switching --solver re-verifies.
-    std::snprintf(buf, sizeof buf, "m%d,h%d|o:%u,%llu,%zu,%d,%d%d%d|b:%s",
+    std::snprintf(buf, sizeof buf, "m%d,h%d|o:%u,%llu,%zu,%d,%d%d|b:%s",
                   static_cast<int>(opts.mode), opts.hold_obligations,
                   opts.solver.max_enum_width,
                   static_cast<unsigned long long>(opts.solver.max_candidates),
                   opts.solver.max_enum_vars, opts.solver.closure_depth,
                   opts.solver.use_equations, opts.solver.use_primed_equations,
-                  opts.solver.use_com_equations,
                   solver::backend_id(opts.solver.backend));
     return buf;
 }

@@ -115,20 +115,6 @@ bool Lattice::finalize(std::string* error) {
     return true;
 }
 
-bool Lattice::flows(LevelId lo, LevelId hi) const {
-    assert(finalized_);
-    return leq_[lo][hi] != 0;
-}
-
-LevelId Lattice::join(LevelId a, LevelId b) const {
-    assert(finalized_);
-    return join_[a][b];
-}
-
-LevelId Lattice::meet(LevelId a, LevelId b) const {
-    assert(finalized_);
-    return meet_[a][b];
-}
 
 Lattice Lattice::two_point_integrity() {
     Lattice l;

@@ -4,6 +4,7 @@
 // completeness and for policy sanity checks.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -39,10 +40,20 @@ public:
     [[nodiscard]] const std::string& name(LevelId l) const { return names_[l]; }
     [[nodiscard]] std::optional<LevelId> find(std::string_view name) const;
 
-    /// lo ⊑ hi ?
-    [[nodiscard]] bool flows(LevelId lo, LevelId hi) const;
-    [[nodiscard]] LevelId join(LevelId a, LevelId b) const;
-    [[nodiscard]] LevelId meet(LevelId a, LevelId b) const;
+    /// lo ⊑ hi ? Inline table lookups: the taint engines join on every
+    /// expression node they walk.
+    [[nodiscard]] bool flows(LevelId lo, LevelId hi) const {
+        assert(finalized_);
+        return leq_[lo][hi] != 0;
+    }
+    [[nodiscard]] LevelId join(LevelId a, LevelId b) const {
+        assert(finalized_);
+        return join_[a][b];
+    }
+    [[nodiscard]] LevelId meet(LevelId a, LevelId b) const {
+        assert(finalized_);
+        return meet_[a][b];
+    }
     /// Global bottom/top (exist for every finite lattice once finalized).
     [[nodiscard]] LevelId bottom() const { return bottom_; }
     [[nodiscard]] LevelId top() const { return top_; }

@@ -1,6 +1,5 @@
 #include "sim/simulator.hpp"
 
-#include <cassert>
 #include <stdexcept>
 
 namespace svlc::sim {
@@ -76,50 +75,6 @@ BitVec Simulator::get_elem(NetId net, uint64_t index) const {
 
 BitVec Simulator::get_elem(const std::string& name, uint64_t index) const {
     return get_elem(net_id(name), index);
-}
-
-BitVec Simulator::get_next(NetId net) const { return store_.get(net, true); }
-
-BitVec Simulator::eval(const Expr& e) const {
-    switch (e.kind) {
-    case ExprKind::Const:
-        return e.value;
-    case ExprKind::NetRef:
-        return store_.get(e.net, e.primed);
-    case ExprKind::ArrayRead: {
-        uint64_t idx = eval(*e.index).value();
-        size_t size = store_.elems(e.net).size();
-        if (size == 0)
-            throw SimError("array read from non-array net '" +
-                           design_.net(e.net).name + "'");
-        return store_.elem(e.net, idx % size, e.primed);
-    }
-    case ExprKind::Slice:
-        return eval(*e.a).slice(e.msb, e.lsb);
-    case ExprKind::Unary:
-        return eval_unary(e.un_op, eval(*e.a));
-    case ExprKind::Binary: {
-        BitVec a = eval(*e.a);
-        // Short-circuit the logical operators: a decided `&&` or `||`
-        // never evaluates its right operand.
-        if ((e.bin_op == BinaryOp::LogAnd && !a.to_bool()) ||
-            (e.bin_op == BinaryOp::LogOr && a.to_bool()))
-            return BitVec(1, a.to_bool());
-        return eval_binary(e.bin_op, a, eval(*e.b));
-    }
-    case ExprKind::Cond:
-        return eval(*e.a).to_bool() ? eval(*e.b) : eval(*e.c);
-    case ExprKind::Concat: {
-        BitVec acc = eval(*e.parts.front());
-        for (size_t i = 1; i < e.parts.size(); ++i)
-            acc = acc.concat(eval(*e.parts[i]));
-        return acc;
-    }
-    case ExprKind::Downgrade:
-        return eval(*e.a);
-    }
-    assert(false && "unreachable");
-    return BitVec(1, 0);
 }
 
 void Simulator::write_scalar(NetId net, const LValue& lv, BitVec value,

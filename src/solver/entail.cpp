@@ -60,12 +60,12 @@ EntailmentEngine::EntailmentEngine(const Design& design,
         // across backends.
         key_prefix_ = policy_fingerprint(design_.policy);
         char buf[128];
-        std::snprintf(buf, sizeof buf, "|o:%u,%llu,%zu,%d,%d%d%d|b:%s",
+        std::snprintf(buf, sizeof buf, "|o:%u,%llu,%zu,%d,%d%d|b:%s",
                       opts_.max_enum_width,
                       static_cast<unsigned long long>(opts_.max_candidates),
                       opts_.max_enum_vars, opts_.closure_depth,
                       opts_.use_equations, opts_.use_primed_equations,
-                      opts_.use_com_equations, backend_id(opts_.backend));
+                      backend_id(opts_.backend));
         key_prefix_ += buf;
     }
 }
@@ -162,8 +162,7 @@ const Expr* EntailmentEngine::equation_fact(Var v) {
         equation = Expr::make_binary(
             BinaryOp::Eq, Expr::make_net(v.first, net.width, true, net.loc),
             std::move(rhs_expr), loc);
-    } else if (!v.second && net.kind == NetKind::Com &&
-               opts_.use_com_equations) {
+    } else if (!v.second && net.kind == NetKind::Com) {
         const Expr* def = eqs_.def(v.first);
         if (def)
             equation = Expr::make_binary(
@@ -274,7 +273,7 @@ EntailResult EntailmentEngine::check_flow(
             if (v.second)
                 return opts_.use_primed_equations;
             return design_.net(v.first).kind == NetKind::Com &&
-                   opts_.use_com_equations && eqs_.def(v.first) != nullptr;
+                   eqs_.def(v.first) != nullptr;
         };
         std::vector<Var> processed;
         size_t frontier_begin = 0;

@@ -72,8 +72,6 @@ struct EntailOptions {
     /// addition. Classic SecVerilog keeps combinational equations (its
     /// Hoare-style predicate analysis) but has no notion of these.
     bool use_primed_equations = true;
-    /// Current-cycle combinational equations w = def(w).
-    bool use_com_equations = true;
     /// Memoization cache for Proven enumeration verdicts, shared (and
     /// thread-safe) across engines whose designs use the same policy.
     /// Not owned; nullptr disables memoization.

@@ -285,16 +285,22 @@ bool write_frame(UnixStream& s, std::string_view payload,
 
 FrameBuffer::Status FrameBuffer::next(std::string& payload,
                                       std::string& error) {
+    // A header section, terminator included, longer than kMaxFrameHeader
+    // is an attack or a protocol mismatch, not a slow writer. The cap is
+    // on the header's length, so the verdict does not depend on how the
+    // bytes arrived: an unterminated header errors as soon as no
+    // terminator can end within the cap, a terminated one when it ends
+    // past it.
     size_t header_end = buf_.find("\r\n\r\n");
-    if (header_end == std::string::npos) {
-        // A header section that never terminates is an attack or a
-        // protocol mismatch, not a slow writer.
-        if (buf_.size() > 16 * 1024) {
-            error = "frame header exceeds 16 KiB without terminating";
-            return Status::Error;
-        }
-        return Status::Need;
+    size_t header_len =
+        header_end == std::string::npos ? buf_.size() + 1 : header_end + 4;
+    if (header_len > kMaxFrameHeader) {
+        error = "frame header exceeds " + std::to_string(kMaxFrameHeader) +
+                " bytes";
+        return Status::Error;
     }
+    if (header_end == std::string::npos)
+        return Status::Need;
 
     // Scan the header lines for Content-Length; ignore everything else
     // (Content-Type etc.), like an LSP endpoint.

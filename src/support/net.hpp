@@ -8,11 +8,12 @@
 //   \r\n
 //   <payload bytes>
 //
-// Unknown headers before the blank line are ignored; payloads larger
-// than kMaxFramePayload are a protocol error (the reader reports it
-// instead of buffering without bound). FrameBuffer is incremental: feed
-// it whatever read() returned and pull complete frames out, so a slow
-// writer can never wedge the server mid-frame.
+// Unknown headers before the blank line are ignored; header sections
+// longer than kMaxFrameHeader and payloads larger than kMaxFramePayload
+// are a protocol error (the reader reports it instead of buffering
+// without bound). FrameBuffer is incremental: feed it whatever read()
+// returned and pull complete frames out, so a slow writer can never
+// wedge the server mid-frame.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +26,9 @@ namespace svlc::net {
 /// Upper bound on one frame's payload (64 MiB) — far above any real
 /// request, small enough that a corrupt length cannot OOM the daemon.
 inline constexpr size_t kMaxFramePayload = size_t{64} << 20;
+/// Upper bound on one frame's header section, blank line included
+/// (16 KiB). A longer header is an error however its bytes arrive.
+inline constexpr size_t kMaxFrameHeader = size_t{16} << 10;
 
 /// RAII connected stream socket. Movable, not copyable.
 class UnixStream {

@@ -25,32 +25,62 @@ struct TaintViolation {
 
 /// The tracker's domain: one security level per net, joined through
 /// every operand and every guard; a violation is a net whose taint does
-/// not flow to its declared label.
+/// not flow to its declared label. A decided operator never skips an
+/// operand: the untaken side's level joins in too.
 struct LevelTaint {
     using Taint = LevelId;
     using Event = TaintViolation;
+    using W = sim::Walked<LevelId>;
+    using Env = TaintEnv<LevelId>;
 
     const hir::Design& design;
 
-    [[nodiscard]] LevelId bottom() const {
-        return design.policy.lattice().bottom();
+    LevelId join(LevelId a, LevelId b) const {
+        return design.policy.lattice().join(a, b);
     }
-    [[nodiscard]] LevelId seed(const hir::Net&, LevelId label) const {
-        return label;
+    LevelId bottom() const { return design.policy.lattice().bottom(); }
+    static LevelId seed(const hir::Net&, LevelId label) { return label; }
+
+    static bool skips(const W&) { return false; }
+    static LevelId net(const hir::Expr& e, const Env& env) {
+        return env.store.get(e.net, e.primed);
     }
-    [[nodiscard]] LevelId eval(const hir::Expr& e,
-                               const TaintEnv<LevelId>& env) const;
-    [[nodiscard]] LevelId branch(LevelId pc, const hir::Expr& cond,
-                                 const TaintEnv<LevelId>& env) const {
-        return design.policy.lattice().join(pc, eval(cond, env));
+    LevelId elem(const hir::Expr& e, const W& index, uint64_t idx,
+                 const Env& env) const {
+        return join(index.taint, env.store.elem(e.net, idx, e.primed));
     }
-    [[nodiscard]] LevelId written(LevelId pc, const hir::Stmt& assign,
-                                  const TaintEnv<LevelId>& env) const;
-    [[nodiscard]] LevelId merge_range(LevelId old, LevelId t,
-                                      const hir::LValue&) const {
-        return design.policy.lattice().join(old, t);
+    static LevelId slice(const hir::Expr&, const W& a) { return a.taint; }
+    static LevelId unary(const hir::Expr&, const W& a) { return a.taint; }
+    LevelId binary(const hir::Expr&, const W& a, const W& b) const {
+        return join(a.taint, b.taint);
     }
-    [[nodiscard]] bool flags(LevelId t, LevelId declared) const {
+    LevelId cond(const hir::Expr&, const W& g, const W& b, const W& c) const {
+        return join(g.taint, join(b.taint, c.taint));
+    }
+    LevelId concat(const hir::Expr&, LevelId high, const hir::Expr&,
+                   LevelId low) const {
+        return join(high, low);
+    }
+    /// The explicit endorse/declassify resets the taint to the declared
+    /// target label, evaluated on the live state: in a sequential process
+    /// the value lands next cycle, so sequential args take their pending
+    /// values.
+    static LevelId downgrade(const hir::Expr& e, const W&, const Env& env) {
+        return env.sim.eval_label(e.dg_label,
+                                  env.kind == hir::ProcessKind::Seq);
+    }
+
+    LevelId branch(LevelId pc, const W& cond) const {
+        return join(pc, cond.taint);
+    }
+    LevelId written(LevelId pc, const hir::Stmt&, LevelId rhs,
+                    LevelId index) const {
+        return join(join(pc, rhs), index);
+    }
+    LevelId merge_range(LevelId old, LevelId t, const hir::LValue&) const {
+        return join(old, t);
+    }
+    bool flags(LevelId t, LevelId declared) const {
         return !design.policy.lattice().flows(t, declared);
     }
 };

@@ -2,20 +2,31 @@
 // shadow sim::NetStore in lock-step with a sim::Simulator through the
 // simulator's own schedule: inputs seeded from their labels, registers
 // held, the statement walk, the monitor just before the TICK, commit.
-// What a taint means is left to a compile-time Domain:
+// Every expression goes through sim::Simulator::walk, which computes each
+// value and its taint together; a compile-time Domain says only what a
+// taint means. With W = sim::Walked<Taint> and Env = TaintEnv<Taint>:
 //
 //   struct Domain {
 //       using Taint = ...;  // shadow value of one net or array element
 //       using Event = ...;  // aggregate {cycle, net, taint, declared}
 //       Taint bottom() const;  // clean: flags(bottom(), l) is false
 //       Taint seed(const hir::Net& input, LevelId label) const;
-//       Taint eval(const hir::Expr&, const TaintEnv<Taint>&) const;
+//       // May a decided `&&`, `||` or `?:` skip the operand it does not
+//       // need? A skipped `&&`/`||` is bottom(), a skipped `?:` its arm.
+//       bool skips(const W& decider) const;
+//       // One transfer rule per node kind (a Const is bottom()), given
+//       // the node and its walked operands; net, elem (whose index is
+//       // already reduced) and downgrade also get the Env. concat is one
+//       // step of a left fold over the parts.
+//       Taint net(e, env), elem(e, index, idx, env), slice(e, a),
+//             unary(e, a), binary(e, a, b), cond(e, guard, b, c),
+//             concat(e, Taint high, low_part, Taint low),
+//             downgrade(e, a, env);
 //       // The control taint inside the taken arm of `if (cond)`.
-//       Taint branch(Taint pc, const hir::Expr& cond,
-//                    const TaintEnv<Taint>&) const;
-//       // The taint an Assign writes under control taint `pc`.
-//       Taint written(Taint pc, const hir::Stmt& assign,
-//                     const TaintEnv<Taint>&) const;
+//       Taint branch(Taint pc, const W& cond) const;
+//       // What an Assign writes under control taint `pc`; `index` is the
+//       // write index's taint, bottom() for a scalar.
+//       Taint written(Taint pc, const hir::Stmt&, Taint rhs, Taint index);
 //       // A write of `t` to bits [lv.msb:lv.lsb] of a net tainted `old`.
 //       Taint merge_range(Taint old, Taint t, const hir::LValue& lv) const;
 //       // Monitor predicate: does a net tainted `t` whose label is
@@ -36,10 +47,10 @@
 
 namespace svlc::verify {
 
-/// What a domain's rules read: the concrete state that resolves branch
-/// decisions and array indices, the shadow store, and the kind of the
-/// process being walked (in a sequential process a Downgrade's label
-/// takes sequential args at their pending values, Γ(r){r⃗'/r⃗}).
+/// What a domain's state-reading rules see: the simulator (for
+/// eval_label), the shadow store, and the kind of the process being
+/// walked (in a sequential process a Downgrade's label takes sequential
+/// args at their pending values, Γ(r){r⃗'/r⃗}).
 template <typename T>
 struct TaintEnv {
     const sim::Simulator& sim;
@@ -72,8 +83,9 @@ public:
 
         // Two passes. First the simulator executes the whole schedule, so
         // its pending store holds every register's next-cycle value; then
-        // the taint pass replays the schedule against that state. The
-        // split is safe because the scheduler already orders writers
+        // the taint pass replays the schedule against that state, walking
+        // each expression once for its value and its taint. The split is
+        // safe because the scheduler already orders writers
         // before readers (com dependency order, next()-writers before
         // next()-readers) and rejects same-process next()-reads as
         // comb-loops, so every value the taint pass reads equals what the
@@ -120,8 +132,9 @@ private:
         case hir::StmtKind::If: {
             // The guard's taint flows into every write of the taken
             // branch (implicit flow through control).
-            Taint guard = domain_.branch(pc, *s.cond, env);
-            if (env.sim.evaluate(*s.cond).to_bool())
+            auto cond = env.sim.walk(*s.cond, domain_, env);
+            Taint guard = domain_.branch(pc, cond);
+            if (cond.to_bool())
                 exec(*s.then_stmt, guard, env);
             else if (s.else_stmt)
                 exec(*s.else_stmt, guard, env);
@@ -129,12 +142,14 @@ private:
         }
         case hir::StmtKind::Assign: {
             const hir::Net& net = design_.net(s.lhs.net);
-            Taint t = domain_.written(pc, s, env);
+            auto rhs = env.sim.walk(*s.rhs, domain_, env);
             if (net.array_size != 0) {
-                uint64_t idx =
-                    env.sim.evaluate(*s.lhs.index).value() % net.array_size;
-                store_.write_elem(net.id, idx, t, env.kind);
+                auto index = env.sim.walk(*s.lhs.index, domain_, env);
+                Taint t = domain_.written(pc, s, rhs.taint, index.taint);
+                store_.write_elem(net.id, index.value() % net.array_size, t,
+                                  env.kind);
             } else {
+                Taint t = domain_.written(pc, s, rhs.taint, domain_.bottom());
                 Taint& slot = store_.target(net.id, env.kind);
                 slot = s.lhs.has_range ? domain_.merge_range(slot, t, s.lhs)
                                        : t;

@@ -1,17 +1,22 @@
 // support/net: Content-Length framing (incremental extraction, malformed
-// headers, oversized payloads) and Unix-socket lifecycle — in particular
-// the stale-socket startup rules: a dead daemon's socket is reclaimed, a
-// live daemon's socket is refused, and a non-socket path is never
-// touched.
+// headers, oversized payloads, and a seeded property: how a byte stream
+// is split never changes what comes out) and Unix-socket lifecycle — in
+// particular the stale-socket startup rules: a dead daemon's socket is
+// reclaimed, a live daemon's socket is refused, and a non-socket path is
+// never touched.
+#include "serve/protocol.hpp"
 #include "support/net.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <filesystem>
+#include <random>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -103,6 +108,121 @@ TEST(Framing, MalformedHeaders) {
         FrameBuffer fb;
         fb.append(std::string(17 * 1024, 'a'));
         EXPECT_EQ(fb.next(payload, error), FrameBuffer::Status::Error);
+    }
+}
+
+TEST(Framing, HeaderCapDoesNotDependOnArrival) {
+    // A 20 KiB header section that does terminate is over the cap whether
+    // it arrives in one piece or in two.
+    std::string stream = "X-Pad: " + std::string(20 * 1024, 'p') +
+                         "\r\nContent-Length: 2\r\n\r\n{}";
+    std::string payload, error;
+    FrameBuffer whole;
+    whole.append(stream);
+    EXPECT_EQ(whole.next(payload, error), FrameBuffer::Status::Error);
+    FrameBuffer split;
+    split.append(std::string_view(stream).substr(0, 17 * 1024));
+    EXPECT_EQ(split.next(payload, error), FrameBuffer::Status::Error);
+}
+
+/// Everything a FrameBuffer yields for `stream` fed in the pieces that
+/// `cuts` (sorted offsets) mark: one line per Frame (its payload and how
+/// parse_rpc decoded it) and a final line for an Error. While a header
+/// is still incomplete, at most kMaxFrameHeader bytes may be buffered.
+std::string frame_events(const std::string& stream,
+                         const std::vector<size_t>& cuts) {
+    FrameBuffer fb;
+    std::string out;
+    size_t appended = 0;
+    std::vector<size_t> ends = cuts;
+    ends.push_back(stream.size());
+    for (size_t end : ends) {
+        fb.append(std::string_view(stream).substr(appended, end - appended));
+        appended = end;
+        for (;;) {
+            std::string payload, error;
+            FrameBuffer::Status st = fb.next(payload, error);
+            if (st == FrameBuffer::Status::Error)
+                return out + "error: " + error + "\n";
+            if (st == FrameBuffer::Status::Need) {
+                size_t start = appended - fb.buffered();
+                bool header_done =
+                    stream.substr(start, appended - start).find("\r\n\r\n") !=
+                    std::string::npos;
+                if (!header_done) {
+                    EXPECT_LE(fb.buffered(), net::kMaxFrameHeader);
+                }
+                break;
+            }
+            serve::RpcMessage msg;
+            std::string rpc_error;
+            bool ok = serve::parse_rpc(payload, msg, rpc_error);
+            out += "frame " + std::to_string(payload.size()) + " " + payload +
+                   (ok ? " rpc " + msg.method : " not-rpc " + rpc_error) +
+                   "\n";
+        }
+    }
+    return out;
+}
+
+TEST(Framing, SplitIndependentProperty) {
+    std::mt19937_64 rng(20261017);
+    auto below = [&](size_t n) { return static_cast<size_t>(rng() % n); };
+    auto valid_stream = [&] {
+        std::string s;
+        for (size_t f = 0, n = 1 + below(3); f < n; ++f) {
+            std::string payload =
+                below(4) == 0
+                    ? std::string(below(64), static_cast<char>('a' + below(26)))
+                    : "{\"jsonrpc\":\"2.0\",\"id\":" + std::to_string(f) +
+                          ",\"method\":\"status\",\"params\":{}}";
+            std::string headers;
+            if (below(3) == 0)
+                headers += "Content-Type: application/json\r\n";
+            if (below(4) == 0) // around the header cap
+                headers += "X-Pad: " +
+                           std::string(15 * 1024 + below(5 * 1024), 'p') +
+                           "\r\n";
+            s += headers + "Content-Length: " +
+                 std::to_string(payload.size()) + "\r\n\r\n" + payload;
+        }
+        return s;
+    };
+    const std::string alphabet = "\r\n:{}\" 0123456789Content-Length";
+    for (int i = 0; i < 300; ++i) {
+        std::string stream = valid_stream();
+        if (i % 3 == 1) { // mutated: flip, insert or drop a few bytes
+            for (size_t m = 1 + below(4); m > 0 && !stream.empty(); --m) {
+                size_t at = below(stream.size());
+                char c = alphabet[below(alphabet.size())];
+                switch (below(3)) {
+                case 0: stream[at] = c; break;
+                case 1: stream.insert(at, 1, c); break;
+                default: stream.erase(at, 1); break;
+                }
+            }
+        } else if (i % 3 == 2) { // random bytes, biased to header tokens
+            stream.clear();
+            for (size_t b = 0, n = below(2048); b < n; ++b)
+                stream += below(2) ? alphabet[below(alphabet.size())]
+                                   : static_cast<char>(rng());
+        }
+        std::string whole = frame_events(stream, {});
+        for (int split = 0; split < 8; ++split) {
+            std::vector<size_t> cuts;
+            for (size_t c = 0, n = 1 + below(6); c < n && !stream.empty(); ++c)
+                cuts.push_back(below(stream.size()));
+            std::sort(cuts.begin(), cuts.end());
+            ASSERT_EQ(frame_events(stream, cuts), whole)
+                << "stream " << i << ", split " << split;
+        }
+        if (stream.size() <= 2048) {
+            std::vector<size_t> every;
+            for (size_t c = 1; c < stream.size(); ++c)
+                every.push_back(c);
+            ASSERT_EQ(frame_events(stream, every), whole)
+                << "stream " << i << ", byte at a time";
+        }
     }
 }
 

@@ -290,11 +290,11 @@ endmodule
         *c.design, c.design->net(r).label, /*next_cycle=*/false);
     sim::Simulator sim(*c.design);
     // mode == 0 -> level T (id of T in declaration order).
-    EXPECT_EQ(sim.evaluate(*cur).value(),
+    EXPECT_EQ(sim.walk(*cur, sim::Concrete{}).value(),
               static_cast<uint64_t>(*c.design->policy.lattice().find("T")));
     sim.set_input("go", 1);
     sim.step();
-    EXPECT_EQ(sim.evaluate(*cur).value(),
+    EXPECT_EQ(sim.walk(*cur, sim::Concrete{}).value(),
               static_cast<uint64_t>(*c.design->policy.lattice().find("U")));
 }
 
