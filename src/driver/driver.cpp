@@ -147,6 +147,7 @@ JobResult verify_text(pipeline::Compilation& comp, const JobSpec& spec,
             res.flagged.push_back(pipeline::make_obligation_record(
                 ob, *comp.design(), &comp.sources()));
     res.solver = cres.solver_stats;
+    res.modular = cres.modular;
     res.diagnostics = comp.render_diagnostics();
     if (cres.timed_out)
         return finish(JobStatus::Timeout);

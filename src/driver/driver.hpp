@@ -72,6 +72,7 @@ struct JobResult {
     /// ids, verdicts, counterexample witnesses). Survives store replay.
     std::vector<pipeline::ObligationRecord> flagged;
     solver::EntailmentEngine::Stats solver;
+    check::ModularStats modular;
     /// Rendered diagnostics (with source snippets), empty when clean.
     std::string diagnostics;
     double wall_ms = 0.0;
@@ -116,6 +117,8 @@ struct BatchReport {
     [[nodiscard]] bool all_ran() const;
     /// Aggregated solver stats over all jobs.
     [[nodiscard]] solver::EntailmentEngine::Stats solver_totals() const;
+    /// Aggregated modular-checking counts over all jobs.
+    [[nodiscard]] check::ModularStats modular_totals() const;
 
     /// Machine-readable report (schema svlc-batch-report/v2; v2 added
     /// per-obligation records with stable ids and witnesses, and the

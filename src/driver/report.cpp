@@ -31,22 +31,30 @@ size_t BatchReport::skipped_count() const {
 
 solver::EntailmentEngine::Stats BatchReport::solver_totals() const {
     solver::EntailmentEngine::Stats t;
+    for (const auto& r : results)
+        t += r.solver;
+    return t;
+}
+
+check::ModularStats BatchReport::modular_totals() const {
+    check::ModularStats t;
     for (const auto& r : results) {
-        t.queries += r.solver.queries;
-        t.syntactic_hits += r.solver.syntactic_hits;
-        t.enumerations += r.solver.enumerations;
-        t.total_candidates += r.solver.total_candidates;
-        t.cache_hits += r.solver.cache_hits;
-        t.cache_misses += r.solver.cache_misses;
-        t.conflicts += r.solver.conflicts;
-        t.propagations += r.solver.propagations;
-        t.learned_clauses += r.solver.learned_clauses;
-        t.restarts += r.solver.restarts;
+        t.module_checks += r.modular.module_checks;
+        t.reused += r.modular.reused;
+        t.solved += r.modular.solved;
     }
     return t;
 }
 
 namespace {
+
+void put_modular_stats(JsonWriter& w, const check::ModularStats& m) {
+    w.begin_object();
+    w.kv("module_checks", m.module_checks);
+    w.kv("reused", m.reused);
+    w.kv("solved", m.solved);
+    w.end_object();
+}
 
 void put_solver_stats(JsonWriter& w,
                       const solver::EntailmentEngine::Stats& s) {
@@ -121,6 +129,8 @@ std::string BatchReport::to_json(bool full) const {
             w.kv("attempts", r.attempts);
             w.key("solver");
             put_solver_stats(w, r.solver);
+            w.key("modular");
+            put_modular_stats(w, r.modular);
             w.kv("wall_ms", r.wall_ms, 3);
             w.kv("cpu_ms", r.cpu_ms, 3);
         }
@@ -138,6 +148,8 @@ std::string BatchReport::to_json(bool full) const {
         w.kv("skipped", skipped_count());
         w.key("solver");
         put_solver_stats(w, solver_totals());
+        w.key("modular");
+        put_modular_stats(w, modular_totals());
     }
     w.end_object();
 

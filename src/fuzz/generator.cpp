@@ -230,6 +230,21 @@ private:
             nets_.push_back({numbered("out", i), pick_width(), false,
                              false, true, lev, lev, -1, 0, levels_[lev]});
         }
+        if (opts_.modular && rng_.chance(60))
+            make_seq_port();
+    }
+
+    /// An `input seq` port `ms`, whose next value the environment picks,
+    /// and a register `rq` labeled f(ms) that only its own block writes.
+    void make_seq_port() {
+        size_t fi = rng_.below(funcs_.size());
+        const FuncInfo& f = funcs_[fi];
+        nets_.push_back({"ms", f.arg_width, true, true, false, 0, 0, -1, 0,
+                         levels_[0]});
+        NetInfo rq{"rq", pick_width(), true, false, false, -1,
+                   f.range_join, -1, 0, f.name + "(ms)"};
+        nets_.push_back(std::move(rq));
+        seq_port_func_ = static_cast<int>(fi);
     }
 
     // --- expressions ------------------------------------------------------
@@ -409,7 +424,7 @@ private:
     }
 
     void emit_module() {
-        std::string hdr = "module top(";
+        std::string hdr = opts_.modular ? "module child(" : "module top(";
         bool first = true;
         for (const auto& n : nets_) {
             if (!n.input && !n.output)
@@ -417,8 +432,9 @@ private:
             if (!first)
                 hdr += ",\n           ";
             first = false;
-            hdr += std::string(n.input ? "input" : "output") + " com " +
-                   width_text(n.width) + "{" + n.label_text + "} " + n.name;
+            hdr += std::string(n.input ? "input" : "output") +
+                   (n.seq ? " seq " : " com ") + width_text(n.width) + "{" +
+                   n.label_text + "} " + n.name;
         }
         line(hdr + ");");
         if (rng_.chance(40)) {
@@ -450,6 +466,82 @@ private:
 
         emit_com_drivers();
         emit_seq_blocks();
+        if (seq_port_func_ >= 0)
+            emit_seq_port_block();
+        line("endmodule");
+        if (opts_.modular)
+            emit_wrapper();
+    }
+
+    /// Writes rq under next(ms): per-value guards at f's levels, a scrub
+    /// whenever ms moves, or a guarded write that keeps rq otherwise (the
+    /// hold hazard a free ms exposes).
+    void emit_seq_port_block() {
+        const FuncInfo& f = funcs_[static_cast<size_t>(seq_port_func_)];
+        const NetInfo& rq = nets_.back();
+        line("  always @(seq) begin");
+        switch (rng_.below(3)) {
+        case 0: {
+            uint64_t domain = uint64_t{1} << f.arg_width;
+            for (uint64_t v = 0; v < domain; ++v)
+                line(std::string(v == 0 ? "    if" : "    else if") +
+                     " (next(ms) == " + hex_literal(f.arg_width, v) + ") rq <= " +
+                     expr(rq.width, biased_ ? func_at(f, v) : -1, 2) + ";");
+            break;
+        }
+        case 1:
+            line("    if (next(ms) != ms) rq <= " + hex_literal(rq.width, 0) +
+                 ";");
+            line("    else rq <= (rq ^ " + expr(rq.width, biased_ ? 0 : -1, 1) +
+                 ");");
+            break;
+        default:
+            line("    if (" + guard_expr() + " && next(ms) == " +
+                 hex_literal(f.arg_width, rng_.below(uint64_t{1} << f.arg_width)) +
+                 ") rq <= " + expr(rq.width, -1, 1) + ";");
+        }
+        line("  end");
+    }
+
+    /// `top`: 2-3 instances of `child`. Each input port is tied to a
+    /// constant or to a top input of the same width and label; every
+    /// output surfaces as a top output.
+    void emit_wrapper() {
+        size_t copies = 2 + rng_.below(2);
+        std::string hdr = "module top(";
+        bool first = true;
+        auto port = [&](const std::string& decl) {
+            hdr += first ? "" : ",\n           ";
+            first = false;
+            hdr += decl;
+        };
+        for (const auto& n : nets_)
+            if (n.input)
+                port("input com " + width_text(n.width) + "{" + n.label_text +
+                     "} t_" + n.name);
+        for (size_t k = 0; k < copies; ++k)
+            for (const auto& n : nets_)
+                if (n.output)
+                    port("output com " + width_text(n.width) + "{" +
+                         n.label_text + "} " + numbered("o", k) + "_" +
+                         n.name);
+        line(hdr + ");");
+        for (size_t k = 0; k < copies; ++k) {
+            std::string inst = "  child " + numbered("c", k) + "(";
+            first = true;
+            for (const auto& n : nets_) {
+                if (!n.input && !n.output)
+                    continue;
+                std::string conn =
+                    n.output ? numbered("o", k) + "_" + n.name
+                    : rng_.chance(30) ? hex_literal(n.width, rng_.next())
+                                      : "t_" + n.name;
+                inst += first ? "" : ", ";
+                first = false;
+                inst += "." + n.name + "(" + conn + ")";
+            }
+            line(inst + ");");
+        }
         line("endmodule");
     }
 
@@ -617,6 +709,8 @@ private:
         s += "/f" + std::to_string(funcs_.size());
         s += "/n" + std::to_string(nets_.size());
         s += biased_ ? "/biased" : "/free";
+        if (opts_.modular)
+            s += "/modular";
         return s;
     }
 
@@ -633,6 +727,8 @@ private:
     std::vector<FuncInfo> funcs_;
     std::vector<NetInfo> nets_;
     int dep_func_ = 0;
+    /// Label function of rq(ms); -1 without the seq port.
+    int seq_port_func_ = -1;
     uint64_t param_value_ = 0;
     bool has_downgrade_ = false;
     bool has_assume_ = false;
@@ -643,6 +739,13 @@ private:
 
 GenProgram generate_program(const GenOptions& opts) {
     return Generator(opts).run();
+}
+
+GenProgram generate_modular_program(uint64_t program_seed) {
+    GenOptions opts;
+    opts.seed = Rng::derive(program_seed, 0x6d6f64756c6172ull); // "modular"
+    opts.modular = true;
+    return generate_program(opts);
 }
 
 std::string mutate_source(const std::string& src, uint64_t seed) {

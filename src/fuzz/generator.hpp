@@ -18,6 +18,11 @@ struct GenOptions {
     /// only fires on accepted programs). Chosen per program when unset
     /// here; see GenProgram::biased.
     int accept_bias_percent = 60;
+    /// The multi-instance shape: the generated module becomes `child`,
+    /// instantiated 2-3 times under a generated `top` with some input
+    /// ports tied to constants. The child may also take an `input seq`
+    /// port, read through next() and used as a label-function argument.
+    bool modular = false;
 };
 
 struct GenProgram {
@@ -35,6 +40,11 @@ struct GenProgram {
 
 /// Generates one structurally well-formed-ish program from `opts.seed`.
 GenProgram generate_program(const GenOptions& opts);
+
+/// The multi-instance program for the fuzz index whose program seed is
+/// `program_seed`. It comes from its own seed stream, so adding it leaves
+/// every index's single-module program unchanged.
+GenProgram generate_modular_program(uint64_t program_seed);
 
 /// Byte-level mutations (truncation, span deletion/duplication, keyword
 /// splices, raw byte noise including non-ASCII) for the no-crash oracle's

@@ -12,6 +12,7 @@
 #include "verify/taint.hpp"
 #include "xform/clearing.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 namespace svlc::fuzz {
@@ -23,12 +24,13 @@ const char* oracle_name(Oracle o) {
     case Oracle::Soundness: return "soundness";
     case Oracle::RoundTrip: return "roundtrip";
     case Oracle::Xform: return "xform";
+    case Oracle::Modular: return "modular";
     }
     return "?";
 }
 
 OracleSet OracleSet::all() {
-    return {true, true, true, true, true};
+    return {true, true, true, true, true, true};
 }
 
 bool OracleSet::enabled(Oracle o) const {
@@ -38,6 +40,7 @@ bool OracleSet::enabled(Oracle o) const {
     case Oracle::Soundness: return soundness;
     case Oracle::RoundTrip: return round_trip;
     case Oracle::Xform: return xform;
+    case Oracle::Modular: return modular;
     }
     return false;
 }
@@ -62,6 +65,8 @@ bool parse_oracle_set(const std::string& text, OracleSet& out) {
             out.round_trip = true;
         else if (item == "xform")
             out.xform = true;
+        else if (item == "modular")
+            out.modular = true;
         else
             return false;
         any = true;
@@ -364,6 +369,42 @@ std::optional<Finding> run_xform(const std::string& source,
     return std::nullopt;
 }
 
+/// The rendered diagnostics and the check report, with or without
+/// modular checking.
+std::pair<std::string, std::string>
+checked_output(const std::string& source, const OracleConfig& cfg,
+               bool modular) {
+    OracleConfig c = cfg;
+    c.check.modular = modular;
+    pipeline::Compilation comp = make_compilation(source, c);
+    const check::CheckResult* res = comp.check();
+    return {comp.render_diagnostics(),
+            res ? pipeline::check_report_json(comp, *res, "fuzz.svlc") : ""};
+}
+
+/// 1-based line of the first byte where `a` and `b` differ.
+size_t first_differing_line(const std::string& a, const std::string& b) {
+    auto at = std::mismatch(a.begin(), a.end(), b.begin(), b.end()).first;
+    return 1 + static_cast<size_t>(std::count(a.begin(), at, '\n'));
+}
+
+std::optional<Finding> run_modular(const std::string& source,
+                                   const OracleConfig& cfg) {
+    auto [flat_diags, flat_report] = checked_output(source, cfg, false);
+    auto [diags, report] = checked_output(source, cfg, true);
+    const char* part = flat_diags != diags     ? "diagnostics"
+                       : flat_report != report ? "report"
+                                               : nullptr;
+    if (part == nullptr)
+        return std::nullopt;
+    size_t line = part[0] == 'd' ? first_differing_line(flat_diags, diags)
+                                 : first_differing_line(flat_report, report);
+    return Finding{Oracle::Modular,
+                   std::string("modular checking diverges from the "
+                               "flattened reference: ") +
+                       part + " differ at line " + std::to_string(line)};
+}
+
 } // namespace
 
 std::optional<Finding> run_oracle(Oracle o, const std::string& source,
@@ -375,6 +416,7 @@ std::optional<Finding> run_oracle(Oracle o, const std::string& source,
         case Oracle::Soundness: return run_soundness(source, cfg);
         case Oracle::RoundTrip: return run_round_trip(source, cfg);
         case Oracle::Xform: return run_xform(source, cfg);
+        case Oracle::Modular: return run_modular(source, cfg);
         }
     } catch (const std::exception& e) {
         return Finding{o, std::string("exception: ") + e.what()};
@@ -389,7 +431,7 @@ std::vector<Finding> run_oracles(const OracleSet& set,
                                  const OracleConfig& cfg) {
     std::vector<Finding> out;
     for (Oracle o : {Oracle::NoCrash, Oracle::BackendDiff, Oracle::Soundness,
-                     Oracle::RoundTrip, Oracle::Xform}) {
+                     Oracle::RoundTrip, Oracle::Xform, Oracle::Modular}) {
         if (!set.enabled(o))
             continue;
         if (auto f = run_oracle(o, source, cfg))

@@ -16,6 +16,11 @@
 //   xform       dynamic clearing either inserts nothing and preserves
 //               cycle-accurate traces or yields a well-formed, simulable
 //               design.
+//   modular     checking each repeated module once gives the same report
+//               (check_report_json) and diagnostics, byte for byte, as
+//               the flattened-only reference. The campaign runs it on
+//               the index's multi-instance program
+//               (generate_modular_program).
 #pragma once
 
 #include "check/typecheck.hpp"
@@ -26,18 +31,27 @@
 
 namespace svlc::fuzz {
 
-enum class Oracle { NoCrash, BackendDiff, Soundness, RoundTrip, Xform };
+enum class Oracle {
+    NoCrash,
+    BackendDiff,
+    Soundness,
+    RoundTrip,
+    Xform,
+    Modular
+};
 
 const char* oracle_name(Oracle o);
 
 /// Which oracles to run. Parsed from "all" or a comma-separated subset
-/// of {no-crash, diff (alias backend-diff), soundness, roundtrip, xform}.
+/// of {no-crash, diff (alias backend-diff), soundness, roundtrip, xform,
+/// modular}.
 struct OracleSet {
     bool no_crash = false;
     bool backend_diff = false;
     bool soundness = false;
     bool round_trip = false;
     bool xform = false;
+    bool modular = false;
 
     static OracleSet all();
     [[nodiscard]] bool enabled(Oracle o) const;

@@ -110,23 +110,37 @@ FuzzStats run_fuzz(const FuzzOptions& opts, std::FILE* out) {
             set.backend_diff = false;
             set.soundness = false;
             set.xform = false;
+            set.modular = false;
         }
         OracleConfig cfg = opts.oracle_cfg;
         cfg.seed = pseed ^ 0x5eed;
 
-        for (Finding& f : run_oracles(set, source, cfg)) {
+        // Each finding with the program it was found on: the modular
+        // oracle checks the index's multi-instance program instead.
+        std::vector<std::pair<Finding, std::string>> findings;
+        bool modular = set.modular;
+        set.modular = false;
+        for (Finding& f : run_oracles(set, source, cfg))
+            findings.emplace_back(std::move(f), source);
+        if (modular) {
+            std::string program = generate_modular_program(pseed).source;
+            if (auto f = run_oracle(Oracle::Modular, program, cfg))
+                findings.emplace_back(std::move(*f), std::move(program));
+        }
+
+        for (auto& [f, original] : findings) {
             FuzzReportEntry entry;
             entry.index = i;
             entry.program_seed = pseed;
             entry.klass = klass;
             entry.finding = f;
-            entry.reduced = source;
+            entry.reduced = original;
             if (opts.reduce_failures) {
                 Oracle o = f.oracle;
                 auto pred = [&](const std::string& cand) {
                     return run_oracle(o, cand, cfg).has_value();
                 };
-                entry.reduced = reduce_text(source, pred).text;
+                entry.reduced = reduce_text(original, pred).text;
             }
             if (!opts.corpus_dir.empty()) {
                 std::string base = opts.corpus_dir + "/crash-" +
@@ -134,7 +148,7 @@ FuzzStats run_fuzz(const FuzzOptions& opts, std::FILE* out) {
                                    std::to_string(i) + "-" +
                                    oracle_name(f.oracle);
                 write_file_atomic(base + ".svlc", entry.reduced);
-                std::string json = fuzz_report_json(opts, entry, source);
+                std::string json = fuzz_report_json(opts, entry, original);
                 write_file_atomic(base + ".json", json);
                 entry.json_path = base + ".json";
             }

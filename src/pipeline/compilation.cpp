@@ -199,7 +199,9 @@ std::string check_human_summary(const Compilation& comp,
     return out;
 }
 
-std::string solver_stats_line(const solver::EntailmentEngine::Stats& s) {
+std::string solver_stats_line(const check::CheckResult& result) {
+    const solver::EntailmentEngine::Stats& s = result.solver_stats;
+    const check::ModularStats& m = result.modular;
     // hit_rate uses fixed 2-decimal precision (not default float
     // formatting) so the line is byte-stable across platforms and libc
     // versions.
@@ -207,13 +209,15 @@ std::string solver_stats_line(const solver::EntailmentEngine::Stats& s) {
         s.queries ? static_cast<double>(s.syntactic_hits + s.cache_hits) /
                         static_cast<double>(s.queries)
                   : 0.0;
-    char line[384];
+    char line[512];
     std::snprintf(line, sizeof line,
                   "solver stats: %llu queries, %llu syntactic hits, "
                   "%llu enumerations, %llu candidates (avg %.1f per "
                   "enumeration), hit_rate %.2f\n"
                   "solver search: %llu conflicts, %llu propagations, "
-                  "%llu learned clauses, %llu restarts\n",
+                  "%llu learned clauses, %llu restarts\n"
+                  "modular: %llu module check(s), %llu obligation(s) "
+                  "reused, %llu solved in the flattened design\n",
                   static_cast<unsigned long long>(s.queries),
                   static_cast<unsigned long long>(s.syntactic_hits),
                   static_cast<unsigned long long>(s.enumerations),
@@ -225,7 +229,10 @@ std::string solver_stats_line(const solver::EntailmentEngine::Stats& s) {
                   static_cast<unsigned long long>(s.conflicts),
                   static_cast<unsigned long long>(s.propagations),
                   static_cast<unsigned long long>(s.learned_clauses),
-                  static_cast<unsigned long long>(s.restarts));
+                  static_cast<unsigned long long>(s.restarts),
+                  static_cast<unsigned long long>(m.module_checks),
+                  static_cast<unsigned long long>(m.reused),
+                  static_cast<unsigned long long>(m.solved));
     return line;
 }
 

@@ -157,8 +157,9 @@ std::string check_report_json(const Compilation& comp,
 std::string check_human_summary(const Compilation& comp,
                                 const check::CheckResult& result);
 
-/// The `svlc check --stats` stderr line (with trailing newline).
-/// Fixed-precision formatting keeps it byte-stable across platforms.
-std::string solver_stats_line(const solver::EntailmentEngine::Stats& s);
+/// The `svlc check --stats` stderr lines (with trailing newline): solver
+/// work, then where modular checking decided the obligations.
+/// Fixed-precision formatting keeps them byte-stable across platforms.
+std::string solver_stats_line(const check::CheckResult& result);
 
 } // namespace svlc::pipeline

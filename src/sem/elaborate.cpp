@@ -20,6 +20,20 @@ struct Scope {
     std::unordered_map<std::string, NetId> nets;
 };
 
+/// "<module>(<name>=<value>,...)" over every parameter in name order:
+/// equal keys elaborate to the same nets and processes.
+std::string instance_key(const ast::Module& mod, const Scope& scope) {
+    std::vector<std::pair<std::string, std::string>> params;
+    for (const auto& [name, value] : scope.params)
+        params.emplace_back(name, value.str());
+    std::sort(params.begin(), params.end());
+    std::string key = mod.name + "(";
+    for (const auto& [name, value] : params)
+        key += name + "=" + value + ",";
+    key += ")";
+    return key;
+}
+
 class Elaborator {
 public:
     Elaborator(const ast::CompilationUnit& unit, DiagnosticEngine& diags,
@@ -870,7 +884,14 @@ void Elaborator::elaborate_module(const ast::Module& mod, Scope& scope,
             }
             child_scope.params[po.name] = *v;
         }
+        Instance span;
+        span.net_begin = static_cast<NetId>(design_->nets.size());
+        span.proc_begin = design_->processes.size();
         elaborate_module(*child, child_scope, depth + 1);
+        span.net_end = static_cast<NetId>(design_->nets.size());
+        span.proc_end = design_->processes.size();
+        span.key = instance_key(*child, child_scope);
+        design_->instances.push_back(std::move(span));
 
         // Wire up ports.
         std::unordered_set<std::string> connected;

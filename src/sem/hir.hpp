@@ -211,6 +211,18 @@ struct DowngradeSite {
     std::string description;
 };
 
+/// One module instance of the flattened design: the contiguous net and
+/// process ranges its subtree occupies, and a key (module name plus every
+/// parameter value) that instances elaborating to the same nets and
+/// processes share. The port-wiring processes of an instance belong to
+/// its parent, so a net in the range driven from outside it is an input
+/// port.
+struct Instance {
+    std::string key;
+    NetId net_begin = 0, net_end = 0;
+    size_t proc_begin = 0, proc_end = 0;
+};
+
 struct Design {
     SecurityPolicy policy;
     std::vector<Net> nets;
@@ -221,6 +233,10 @@ struct Design {
     std::unordered_map<std::string, NetId> net_by_name;
     std::vector<DowngradeSite> downgrades;
     std::string top_name;
+    /// Every instance, children before their parent. A transform that
+    /// edits processes after elaboration clears it, since the ranges and
+    /// keys no longer describe the processes.
+    std::vector<Instance> instances;
 
     /// Unified evaluation order (indices into `processes`), topologically
     /// sorted over the com-net and primed-read dependency graph; filled by

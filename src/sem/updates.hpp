@@ -23,15 +23,26 @@ struct Equations {
     /// (in terms of current-cycle nets and primed reads the process makes).
     /// Null for inputs, arrays, and undriven nets.
     std::vector<hir::ExprPtr> defs;
+    /// free[net]: the environment drives the net, so it takes any value
+    /// in either cycle. That is an undriven top-level input, or a net
+    /// driven by a process outside the range the equations were built
+    /// from (an input port of an instance checked alone). A free net has
+    /// no defining equation and no hold equation r' == r.
+    std::vector<bool> free;
 
     [[nodiscard]] const hir::Expr* def(hir::NetId n) const {
         return n < defs.size() ? defs[n].get() : nullptr;
     }
+    [[nodiscard]] bool is_free(hir::NetId n) const {
+        return n < free.size() && free[n];
+    }
 };
 
-/// Builds defining equations by symbolically executing every process.
-/// Requires a well-formed design (run analyze_wellformed first).
-Equations build_equations(const hir::Design& design);
+/// Builds defining equations by symbolically executing the processes
+/// [proc_begin, proc_end), by default every process. Requires a
+/// well-formed design (run analyze_wellformed first).
+Equations build_equations(const hir::Design& design, size_t proc_begin = 0,
+                          size_t proc_end = ~size_t{0});
 
 /// A single guarded write extracted from a sequential process, in program
 /// order (later entries take priority).

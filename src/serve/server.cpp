@@ -410,7 +410,7 @@ bool Server::do_verify(const JsonValue& params, Conn& push_to,
             out.report =
                 pipeline::check_report_json(session.comp, *cres, name);
             out.stats_line =
-                pipeline::solver_stats_line(cres->solver_stats);
+                pipeline::solver_stats_line(*cres);
         }
     } else {
         ++stats_.session_hits;

@@ -147,11 +147,36 @@ public:
     ~EntailmentEngine();
     EntailmentEngine(EntailmentEngine&&) = delete;
 
+    using Var = std::pair<hir::NetId, bool>; // (net, primed)
+
     /// Checks C ⇒ lhs ⊑ rhs where `facts` are expressions assumed
     /// non-zero. The engine augments facts with defining equations of the
-    /// signals involved (the cycle-by-cycle reasoning of the paper).
+    /// signals involved (the cycle-by-cycle reasoning of the paper). When
+    /// the query gets past the syntactic fast path and `enumerated` is
+    /// set, it receives the variables the candidate space ranges over.
     EntailResult check_flow(const SolverLabel& lhs, const SolverLabel& rhs,
-                            const std::vector<const hir::Expr*>& facts);
+                            const std::vector<const hir::Expr*>& facts,
+                            std::vector<Var>* enumerated = nullptr);
+
+    /// True when the query for (lhs, rhs, facts) would enumerate every
+    /// variable in `vars`, without deciding it. A Proven verdict over a
+    /// subset of this query's facts whose candidates ranged over `vars`
+    /// is then also this query's verdict: each of its candidates extends
+    /// one of those, and three-valued evaluation keeps every definite
+    /// value when more variables are known.
+    bool enumerates(const SolverLabel& lhs, const SolverLabel& rhs,
+                    const std::vector<const hir::Expr*>& facts,
+                    const std::vector<Var>& vars);
+
+    /// A canonical rendering of what the defining-equation closure
+    /// reaches from `roots` outside the net range [begin, end): nets in
+    /// the range by offset, others numbered by first reach with their
+    /// shape, and every equation's structure, level by level. Two
+    /// instances of one module whose input ports (the roots) render
+    /// equally get isomorphic queries for every obligation, and so equal
+    /// verdicts.
+    std::string closure_signature(const std::vector<Var>& roots,
+                                  hir::NetId begin, hir::NetId end);
 
     struct Stats {
         uint64_t queries = 0;
@@ -170,6 +195,8 @@ public:
         uint64_t propagations = 0;
         uint64_t learned_clauses = 0;
         uint64_t restarts = 0;
+
+        Stats& operator+=(const Stats& o);
     };
     [[nodiscard]] const Stats& stats() const { return stats_; }
 
@@ -177,15 +204,28 @@ public:
     [[nodiscard]] bool past_deadline() const;
 
 private:
-    using Var = std::pair<hir::NetId, bool>; // (net, primed)
+    /// A query after the defining-equation closure: its facts and the
+    /// variables the candidate space ranges over.
+    struct Query {
+        std::vector<const hir::Expr*> facts;
+        std::vector<Var> enum_vars;
+        uint64_t domain = 1;
+        bool closure_truncated = false;
+    };
+    Query prepare(const SolverLabel& lhs, const SolverLabel& rhs,
+                  const std::vector<const hir::Expr*>& user_facts);
 
     bool syntactic_covered(const SolverAtom& atom, const SolverLabel& rhs,
                            const std::vector<const hir::Expr*>& facts) const;
-    /// Returns the memoized `x == def(x)` fact for `v` (nullptr when the
-    /// variable has no synthesizable equation under the current options).
-    const hir::Expr* equation_fact(Var v);
-    void collect_vars(const hir::Expr& e, std::vector<Var>& out) const;
-    void add_var(hir::NetId net, bool primed, std::vector<Var>& out) const;
+    /// A synthesized `x == def(x)` fact and the variables it reads, each
+    /// once, in walk order.
+    struct Equation {
+        hir::ExprPtr fact;
+        std::vector<Var> vars;
+    };
+    /// Returns the memoized equation for `v` (nullptr when the variable
+    /// has no synthesizable equation under the current options).
+    const Equation* equation_fact(Var v);
 
     const hir::Design& design_;
     const sem::Equations& eqs_;
@@ -198,7 +238,11 @@ private:
     /// query — and identical queries then carry pointer-identical fact
     /// sets, which is what lets the CDCL backend recognize an unchanged
     /// context and keep its learned clauses.
-    std::unordered_map<uint64_t, hir::ExprPtr> eq_memo_;
+    std::unordered_map<uint64_t, Equation> eq_memo_;
+    /// Variables already gathered by the query being prepared:
+    /// seen_[2 * net + primed] == epoch_.
+    std::vector<uint32_t> seen_;
+    uint32_t epoch_ = 0;
     /// Cache-key prefix: policy fingerprint + enumeration budget. Built
     /// once, on first use, when a cache is attached.
     std::string key_prefix_;

@@ -95,6 +95,10 @@ ExprPtr materialize_label_level(const Design& design, const Label& label,
 
 ClearingReport apply_dynamic_clearing(Design& design) {
     ClearingReport report;
+    // Processes gain clears and new processes land at the end, so the
+    // instance ranges no longer hold: the checker falls back to checking
+    // the flattened design alone.
+    design.instances.clear();
 
     // Find (or create) the driving process of each dynamic register and
     // append the clearing logic at the end (highest priority).

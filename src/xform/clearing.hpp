@@ -39,7 +39,8 @@ hir::ExprPtr materialize_label_level(const hir::Design& design,
 /// Applies dynamic clearing in place: a register is cleared whenever its
 /// label's materialized level changes between this cycle and the next.
 /// The caller must re-run sem::analyze_wellformed afterwards (read/write
-/// sets and the schedule change). Returns the report of what was inserted.
+/// sets and the schedule change). Clears Design::instances. Returns the
+/// report of what was inserted.
 ClearingReport apply_dynamic_clearing(hir::Design& design);
 
 } // namespace svlc::xform

@@ -95,7 +95,10 @@ TEST(FuzzOracles, ParseOracleSet) {
     OracleSet set;
     ASSERT_TRUE(parse_oracle_set("all", set));
     EXPECT_TRUE(set.no_crash && set.backend_diff && set.soundness &&
-                set.round_trip && set.xform);
+                set.round_trip && set.xform && set.modular);
+    ASSERT_TRUE(parse_oracle_set("modular", set));
+    EXPECT_TRUE(set.modular);
+    EXPECT_FALSE(set.no_crash);
     ASSERT_TRUE(parse_oracle_set("no-crash,roundtrip", set));
     EXPECT_TRUE(set.no_crash);
     EXPECT_TRUE(set.round_trip);
@@ -121,6 +124,34 @@ TEST(FuzzOracles, CleanSweepOverSeedRange) {
                           << "\n"
                           << p.source;
     }
+}
+
+TEST(FuzzOracles, ModularProgramsMatchTheFlattenedReference) {
+    // The multi-instance shape: every program elaborates, repeats its
+    // child, and checks identically with and without modular checking.
+    OracleConfig cfg;
+    size_t seq_ports = 0;
+    for (uint64_t seed = 0; seed < 25; ++seed) {
+        GenProgram p = generate_modular_program(seed);
+        EXPECT_NE(p.shape.find("/modular"), std::string::npos);
+        seq_ports += p.source.find("input seq") != std::string::npos;
+        pipeline::CompilationOptions copts;
+        copts.check = cfg.check;
+        pipeline::Compilation comp(copts);
+        comp.load_text(p.source, "fuzz.svlc");
+        const check::CheckResult* res = comp.check();
+        ASSERT_NE(res, nullptr) << comp.render_diagnostics() << p.source;
+        EXPECT_EQ(res->modular.module_checks, 1u) << p.source;
+        if (auto f = run_oracle(Oracle::Modular, p.source, cfg))
+            ADD_FAILURE() << "seed " << seed << ": " << f->detail << "\n"
+                          << p.source;
+    }
+    EXPECT_GT(seq_ports, 0u);
+    // Its own seed stream: the index's single-module program is unchanged.
+    GenOptions opts;
+    opts.seed = 3;
+    EXPECT_EQ(generate_program(opts).source.find("module child"),
+              std::string::npos);
 }
 
 TEST(FuzzOracles, RoundTripCatchesPrinterDrift) {

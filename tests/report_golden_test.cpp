@@ -50,6 +50,7 @@ const GoldenCase kCases[] = {
      nullptr},
     {"fig4_mode_switch.json", "hdl/fig4_mode_switch.svlc", nullptr},
     {"shared_counter.json", "hdl/shared_counter.svlc", nullptr},
+    {"input_seq_port.json", "fixtures/modular/input_seq_port.svlc", nullptr},
 };
 
 void PrintTo(const GoldenCase& gc, std::ostream* os) { *os << gc.fixture; }

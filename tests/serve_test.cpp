@@ -133,7 +133,7 @@ TEST(Serve, WarmHitIsByteIdenticalToInProcessCheck) {
     std::string want_human = pipeline::check_human_summary(comp, *res);
     std::string want_report = pipeline::check_report_json(comp, *res, file);
     std::string want_diags = comp.render_diagnostics();
-    std::string want_stats = pipeline::solver_stats_line(res->solver_stats);
+    std::string want_stats = pipeline::solver_stats_line(*res);
 
     std::string error;
     auto client = Client::connect(ts.server.socket_path(), error);
@@ -194,7 +194,7 @@ TEST(Serve, RemoteCheckMatchesInProcess) {
               pipeline::check_report_json(comp, *res, file));
     EXPECT_EQ(remote.diagnostics, comp.render_diagnostics());
     EXPECT_EQ(remote.stats_line,
-              pipeline::solver_stats_line(res->solver_stats));
+              pipeline::solver_stats_line(*res));
 
     // And nothing listening → remote_check reports false so the CLI
     // falls back in-process.

@@ -474,7 +474,7 @@ int cmd_check(const Args& args) {
         std::fprintf(stderr, "wrote %s\n", args.json_path.c_str());
     }
     if (args.stats)
-        std::fputs(pipeline::solver_stats_line(result.solver_stats).c_str(),
+        std::fputs(pipeline::solver_stats_line(result).c_str(),
                    stderr);
     return result.ok ? 0 : 1;
 }
