@@ -1,9 +1,7 @@
 #include "check/typecheck.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
-#include <deque>
 #include <map>
 #include <string_view>
 #include <unordered_map>
@@ -30,83 +28,35 @@ using solver::SolverLabel;
 
 namespace {
 
-/// One obligation as a module check decided it, in walk order.
-struct ModuleVerdict {
+/// One obligation as the first instance of a group decided it.
+struct Verdict {
     ObligationKind kind;
-    NetId offset; // target - net_begin of the checked instance
+    NetId offset; // target - net_begin
     EntailResult result;
-    double solve_ms = 0;
-    /// The variables the proof enumerated, as nets of the checked
-    /// instance; empty for a syntactic proof.
-    std::vector<EntailmentEngine::Var> vars;
 };
 
-/// The verdicts of one repeated module, checked alone as its first
-/// instance: the assignment obligations, then the hold obligations.
-struct ModuleCheck {
-    const Instance* first = nullptr;
-    std::vector<ModuleVerdict> assigns, holds;
-    /// Its input ports: the nets of the instance driven from outside it,
-    /// as offsets.
-    std::vector<NetId> ports;
-};
-
-/// A repeated instance whose obligations may reuse `module`'s verdicts.
-struct Reuse {
+/// An instance of a repeated key. Its group is the instances of the key
+/// whose input ports see isomorphic closures; the group's first instance
+/// (the leader) records its verdicts, and the others take its Proven
+/// ones.
+struct Member {
     const Instance* span;
-    const ModuleCheck* module;
-    size_t group = 0; // index into Checker::groups_
+    size_t leader; // index into Checker::members_
+    std::vector<Verdict> verdicts; // the leader's, in walk order
+    size_t next = 0; // a follower's position in them
 };
-
-/// How the first-walked instance of a group settled an obligation that
-/// has a module verdict, for the group's other instances. Instances of a
-/// group have isomorphic queries (EntailmentEngine::closure_signature),
-/// so the first one's outcome is every one's.
-enum class Carry : uint8_t {
-    Unseen,
-    Proof,  ///< the module's proof holds here: its query enumerates
-            ///< the proof's variables
-    Proven, ///< the module's proof does not carry, but the query proved
-    Solve,  ///< not proven: solve it in each instance
-};
-struct Carried {
-    Carry how = Carry::Unseen;
-    EntailResult result; // when Proven
-};
-struct Group {
-    std::vector<Carried> assigns, holds;
-};
-
-bool contains(const Instance& a, const Instance& b) {
-    return a.proc_begin <= b.proc_begin && b.proc_end <= a.proc_end &&
-           a.net_begin <= b.net_begin && b.net_end <= a.net_end;
-}
 
 class Checker {
 public:
-    /// Checks the whole design, or with `scope` set, that instance alone;
-    /// then its verdicts go to `out` instead of obligation records and
-    /// diagnostics. `spans` are the outermost repeated instances inside
-    /// the scope whose module was already checked, in design order.
     Checker(const Design& design, DiagnosticEngine& diags,
-            const CheckOptions& opts, std::vector<Reuse> spans,
-            const Instance* scope = nullptr, ModuleCheck* out = nullptr)
+            const CheckOptions& opts)
         : design_(design), diags_(diags), opts_(opts),
-          eqs_(scope ? sem::build_equations(design, scope->proc_begin,
-                                            scope->proc_end)
-                     : sem::build_equations(design)),
+          eqs_(sem::build_equations(design)),
           engine_(design, eqs_, engine_options(opts)),
-          spans_(std::move(spans)), out_(out) {
-        if (scope)
-            range_ = *scope;
-        else
-            range_ = {"", 0, static_cast<NetId>(design.nets.size()), 0,
-                      design.processes.size()};
-        if (out_)
-            for (NetId n = range_.net_begin; n < range_.net_end; ++n)
-                if (eqs_.is_free(n))
-                    out_->ports.push_back(n - range_.net_begin);
-        group_spans();
+          proc_owner_(design.processes.size()),
+          net_owner_(design.nets.size()) {
+        if (opts.modular)
+            group_instances();
     }
 
     CheckResult run();
@@ -138,17 +88,10 @@ private:
     void discharge(ObligationKind kind, SourceLoc loc, NetId target,
                    const SolverLabel& lhs, const SolverLabel& rhs,
                    const std::vector<const Expr*>& facts);
-    /// Moves the reuse cursor to the span holding process `proc` (assign
-    /// phase) or net `net` (hold phase).
-    void enter(size_t proc, NetId net);
-    /// Groups the spans of each module by the closure signature of their
-    /// input ports.
-    void group_spans();
-    /// The module's verdict on the obligation about to be discharged in
-    /// the current span, and how its group settled it; null when the
-    /// obligation does not match the module's next one.
-    std::pair<const ModuleVerdict*, Carried*>
-    module_verdict(ObligationKind kind, NetId target);
+    /// Groups the instances of every repeated key by the closure
+    /// signature of their input ports, and gives each process and net to
+    /// the innermost repeated instance holding it.
+    void group_instances();
     std::string next_obligation_id(ObligationKind kind, NetId target);
     void note_witness(const solver::Witness& w, SourceLoc loc);
 
@@ -163,16 +106,12 @@ private:
     /// Per-(net, kind) obligation ordinals, for stable ids.
     std::map<std::pair<NetId, ObligationKind>, size_t> site_counters_;
 
-    Instance range_;
-    std::vector<Reuse> spans_;
-    std::vector<Group> groups_;
-    ModuleCheck* out_;
-    // Reuse cursor: the span being walked and the index of its next
-    // obligation in the module's assign (or hold) verdicts.
-    size_t span_index_ = 0;
-    const Reuse* span_ = nullptr;
-    size_t cursor_ = 0;
-    bool hold_phase_ = false;
+    std::vector<Member> members_;
+    /// The innermost repeated instance holding each process and net.
+    std::vector<Member*> proc_owner_, net_owner_;
+    /// The owner of the process (assign walk) or net (hold walk) being
+    /// checked, or null.
+    Member* member_ = nullptr;
 };
 
 bool Checker::uses_next(const Expr& e) const {
@@ -237,55 +176,45 @@ void Checker::note_witness(const solver::Witness& w, SourceLoc loc) {
     }
 }
 
-void Checker::enter(size_t proc, NetId net) {
-    auto past = [&](const Instance& in) {
-        return hold_phase_ ? in.net_end <= net : in.proc_end <= proc;
-    };
-    while (span_index_ < spans_.size() && past(*spans_[span_index_].span))
-        ++span_index_;
-    const Reuse* next = nullptr;
-    if (span_index_ < spans_.size()) {
-        const Instance& in = *spans_[span_index_].span;
-        if (hold_phase_ ? in.net_begin <= net : in.proc_begin <= proc)
-            next = &spans_[span_index_];
-    }
-    if (next != span_)
-        cursor_ = 0;
-    span_ = next;
-}
-
-void Checker::group_spans() {
-    std::map<std::pair<const ModuleCheck*, std::string>, size_t> index;
-    for (Reuse& r : spans_) {
+void Checker::group_instances() {
+    std::unordered_map<std::string_view, size_t> count;
+    for (const Instance& in : design_.instances)
+        ++count[in.key];
+    constexpr size_t kNone = ~size_t{0};
+    std::vector<size_t> writer(design_.nets.size(), kNone);
+    for (size_t pi = 0; pi < design_.processes.size(); ++pi)
+        for (NetId n : design_.processes[pi].writes)
+            writer[n] = pi;
+    std::map<std::pair<std::string_view, std::string>, size_t> leaders;
+    for (const Instance& in : design_.instances) {
+        if (count[in.key] < 2)
+            continue;
+        // Input ports: nets written from outside the instance, and
+        // undriven inputs.
         std::vector<EntailmentEngine::Var> roots;
-        for (NetId port : r.module->ports)
-            for (bool primed : {false, true})
-                roots.push_back({r.span->net_begin + port, primed});
-        std::string signature = engine_.closure_signature(
-            roots, r.span->net_begin, r.span->net_end);
-        auto [it, fresh] = index.emplace(
-            std::make_pair(r.module, std::move(signature)), groups_.size());
-        if (fresh) {
-            Group& g = groups_.emplace_back();
-            g.assigns.resize(r.module->assigns.size());
-            g.holds.resize(r.module->holds.size());
-        }
-        r.group = it->second;
+        for (NetId n = in.net_begin; n < in.net_end; ++n)
+            if (writer[n] == kNone ? eqs_.is_free(n)
+                                   : writer[n] < in.proc_begin ||
+                                         writer[n] >= in.proc_end)
+                for (bool primed : {false, true})
+                    roots.push_back({n, primed});
+        auto signature =
+            engine_.closure_signature(roots, in.net_begin, in.net_end);
+        auto it = leaders.emplace(std::make_pair(std::string_view(in.key),
+                                                 std::move(signature)),
+                                  members_.size());
+        members_.push_back({&in, it.first->second, {}, 0});
     }
-}
-
-std::pair<const ModuleVerdict*, Carried*>
-Checker::module_verdict(ObligationKind kind, NetId target) {
-    if (span_ == nullptr)
-        return {};
-    const auto& verdicts =
-        hold_phase_ ? span_->module->holds : span_->module->assigns;
-    size_t i = cursor_++;
-    if (i >= verdicts.size() || verdicts[i].kind != kind ||
-        verdicts[i].offset != target - span_->span->net_begin)
-        return {};
-    Group& group = groups_[span_->group];
-    return {&verdicts[i], &(hold_phase_ ? group.holds : group.assigns)[i]};
+    result_.modular.groups = leaders.size();
+    // Instances come children first, so claiming in reverse order leaves
+    // each process and net with its innermost repeated instance.
+    for (auto m = members_.rbegin(); m != members_.rend(); ++m) {
+        const Instance& in = *m->span;
+        std::fill(proc_owner_.begin() + static_cast<long>(in.proc_begin),
+                  proc_owner_.begin() + static_cast<long>(in.proc_end), &*m);
+        std::fill(net_owner_.begin() + in.net_begin,
+                  net_owner_.begin() + in.net_end, &*m);
+    }
 }
 
 void Checker::discharge(ObligationKind kind, SourceLoc loc, NetId target,
@@ -293,40 +222,25 @@ void Checker::discharge(ObligationKind kind, SourceLoc loc, NetId target,
                         const std::vector<const Expr*>& facts) {
     if (result_.timed_out)
         return;
-    auto [known, carried] = module_verdict(kind, target);
-    EntailResult result;
-    std::vector<EntailmentEngine::Var> vars;
-    double solve_ms =
-        known && span_->span == span_->module->first ? known->solve_ms : 0;
     auto t0 = std::chrono::steady_clock::now();
-    if (carried && known->result.proven() &&
-        (carried->how == Carry::Unseen || carried->how == Carry::Proof)) {
-        // The module check proved it over a subset of this context's
-        // facts. The proof carries over exactly when this query
-        // enumerates the variables the proof did: otherwise the solver's
-        // budget could leave this query Unknown, and the report would no
-        // longer be the flattened check's. The group's first instance
-        // finds out; the others follow it.
-        NetId shift = span_->span->net_begin - span_->module->first->net_begin;
-        for (auto [net, primed] : known->vars)
-            vars.push_back({net + shift, primed});
-        if (carried->how == Carry::Unseen)
-            carried->how = vars.empty() ||
-                                   engine_.enumerates(lhs, rhs, facts, vars)
-                               ? Carry::Proof
-                               : Carry::Unseen;
+    // Instances of a group get isomorphic queries, so a later one takes
+    // the leader's Proven verdict on the same obligation.
+    NetId offset = member_ ? target - member_->span->net_begin : 0;
+    bool leads = member_ && &members_[member_->leader] == member_;
+    const Verdict* reuse = nullptr;
+    if (member_ && !leads) {
+        const std::vector<Verdict>& done = members_[member_->leader].verdicts;
+        size_t i = member_->next++;
+        if (i < done.size() && done[i].kind == kind &&
+            done[i].offset == offset && done[i].result.proven())
+            reuse = &done[i];
     }
-    if (carried && carried->how == Carry::Proof) {
-        result = known->result;
-        ++result_.modular.reused;
-    } else if (carried && carried->how == Carry::Proven && !out_) {
-        // A module check records the variables of its own query, which a
-        // carried result does not have, so it solves instead.
-        result = carried->result;
+    EntailResult result;
+    if (reuse) {
+        result = reuse->result;
         ++result_.modular.reused;
     } else {
-        vars.clear();
-        result = engine_.check_flow(lhs, rhs, facts, out_ ? &vars : nullptr);
+        result = engine_.check_flow(lhs, rhs, facts);
         if (result.timed_out) {
             // Deadline expired mid-check: drop this obligation (no
             // diagnostic — it was not decided) and stop discharging
@@ -335,23 +249,12 @@ void Checker::discharge(ObligationKind kind, SourceLoc loc, NetId target,
             return;
         }
         ++result_.modular.solved;
-        if (carried && carried->how == Carry::Unseen) {
-            carried->how = result.proven() ? Carry::Proven : Carry::Solve;
-            if (result.proven())
-                carried->result = result;
-        }
+        if (leads)
+            member_->verdicts.push_back({kind, offset, result});
     }
-    solve_ms += std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-    if (out_) {
-        if (result.syntactic)
-            vars.clear();
-        (hold_phase_ ? out_->holds : out_->assigns)
-            .push_back({kind, target - range_.net_begin, std::move(result),
-                        solve_ms, std::move(vars)});
-        return;
-    }
+    double solve_ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
 
     Obligation ob;
     ob.kind = kind;
@@ -487,14 +390,11 @@ void Checker::check_hold_obligations() {
         result_.timed_out)
         return;
     std::vector<std::string> names; // filled on the first array register
-    hold_phase_ = true;
-    span_index_ = 0;
-    span_ = nullptr;
-    for (NetId id = range_.net_begin; id < range_.net_end; ++id) {
+    for (NetId id = 0; id < design_.nets.size(); ++id) {
         const Net& net = design_.net(id);
         if (net.kind != NetKind::Seq || net.label.is_static())
             continue;
-        enter(0, id);
+        member_ = net_owner_[id];
         auto writes = sem::guarded_writes(design_, net.id);
 
         // Determine the guards under which the register is *fully*
@@ -559,10 +459,10 @@ void Checker::check_hold_obligations() {
 }
 
 CheckResult Checker::run() {
-    for (size_t pi = range_.proc_begin; pi < range_.proc_end; ++pi) {
+    for (size_t pi = 0; pi < design_.processes.size(); ++pi) {
         if (result_.timed_out)
             break;
-        enter(pi, 0);
+        member_ = proc_owner_[pi];
         const Process& proc = design_.processes[pi];
         Context ctx;
         walk(*proc.body, ctx, proc.kind);
@@ -575,71 +475,11 @@ CheckResult Checker::run() {
     return std::move(result_);
 }
 
-/// The outermost instances strictly inside `scope` (the whole design when
-/// null) whose module has a check, in design order.
-std::vector<Reuse> spans_inside(const Design& design, const Instance* scope,
-                                const std::vector<const ModuleCheck*>& checks) {
-    std::vector<Reuse> in;
-    for (size_t i = 0; i < design.instances.size(); ++i) {
-        const Instance& span = design.instances[i];
-        if (checks[i] && &span != scope && (!scope || contains(*scope, span)))
-            in.push_back({&span, checks[i]});
-    }
-    // Parents before their children; equal ranges keep the parent, which
-    // comes later in the children-first instance list.
-    std::stable_sort(in.begin(), in.end(), [](const Reuse& a, const Reuse& b) {
-        if (a.span->net_begin != b.span->net_begin)
-            return a.span->net_begin < b.span->net_begin;
-        if (a.span->net_end != b.span->net_end)
-            return a.span->net_end > b.span->net_end;
-        return a.span > b.span;
-    });
-    std::vector<Reuse> outermost;
-    for (const Reuse& r : in)
-        if (outermost.empty() || !contains(*outermost.back().span, *r.span))
-            outermost.push_back(r);
-    return outermost;
-}
-
 } // namespace
 
 CheckResult check_design(const Design& design, DiagnosticEngine& diags,
                          const CheckOptions& opts) {
-    // Check every repeated module alone, children first, so a module
-    // check reuses the checks of the repeated modules inside it.
-    std::deque<ModuleCheck> modules;
-    std::vector<const ModuleCheck*> checks(design.instances.size());
-    solver::EntailmentEngine::Stats module_stats;
-    if (opts.modular) {
-        std::unordered_map<std::string_view, size_t> count;
-        for (const Instance& in : design.instances)
-            ++count[in.key];
-        std::unordered_map<std::string_view, const ModuleCheck*> by_key;
-        bool timed_out = false;
-        for (size_t i = 0; i < design.instances.size() && !timed_out; ++i) {
-            const Instance& in = design.instances[i];
-            if (count[in.key] < 2)
-                continue;
-            auto [it, first] = by_key.emplace(in.key, nullptr);
-            if (first) {
-                ModuleCheck& m = modules.emplace_back();
-                m.first = &in;
-                DiagnosticEngine quiet;
-                Checker alone(design, quiet, opts,
-                              spans_inside(design, &in, checks), &in, &m);
-                CheckResult r = alone.run();
-                module_stats += r.solver_stats;
-                timed_out = r.timed_out;
-                it->second = &m;
-            }
-            checks[i] = it->second;
-        }
-    }
-    Checker checker(design, diags, opts, spans_inside(design, nullptr, checks));
-    CheckResult result = checker.run();
-    result.solver_stats += module_stats;
-    result.modular.module_checks = modules.size();
-    return result;
+    return Checker(design, diags, opts).run();
 }
 
 } // namespace svlc::check

@@ -24,24 +24,19 @@
 // transform (src/xform).
 //
 // Modular checking: elaboration flattens every instance, so a module
-// instantiated N times would be checked N times. Instead, for every key
-// (module plus parameter values) with two or more instances, the first
-// instance is checked alone, in place: with equations built only from its
-// own processes, and with every net driven from outside it (an input
-// port) free in both cycles. The instance context only adds constraints,
-// so what that check proves holds in every instance, and those
-// obligations are Proven in the flattened walk without deciding them
-// again. The solver's enumeration budget is the one catch: the flattened
-// query may leave Unknown what the smaller module query proved. So a
-// proof carries over only where the flattened query enumerates every
-// variable the proof did (EntailmentEngine::enumerates). Instances whose
-// input ports see isomorphic closures (closure_signature) have
-// isomorphic queries, so the first of them walked answers that for all,
-// and its own Proven verdicts serve the rest. Refuted and Unknown
-// verdicts, parent-level obligations and modules instantiated once are
-// solved in the flattened design as before, so every record, witness and
-// diagnostic is the flattened check's own. Keys nest: checking a module
-// alone reuses the verdicts of the repeated modules inside it.
+// instantiated N times would be checked N times. Instead every obligation
+// belongs to the innermost instance whose key (module plus parameter
+// values) repeats: by its process in the assignment walk, by its net in
+// the hold walk. The instances of a key are grouped by the closure
+// signature of their input ports (EntailmentEngine::closure_signature),
+// where an input port is a net of the instance written from outside it,
+// or an undriven input. Instances of a group get isomorphic queries, and
+// so equal verdicts. The group's first instance is solved in the
+// flattened design like any other obligation; a later instance takes its
+// Proven verdict at the same position, with the same kind and target
+// offset, and solves everything else itself. So every record, witness and
+// diagnostic is the flattened check's own, and each distinct context of
+// a module is decided once.
 #pragma once
 
 #include "sem/hir.hpp"
@@ -62,18 +57,20 @@ struct CheckOptions {
     /// Emit hold obligations (LC mode only). Exposed for the ablation
     /// benchmark; turning this off re-introduces implicit downgrading.
     bool hold_obligations = true;
-    /// Check each repeated module once and reuse its proven obligations
-    /// (see above). Off is the flattened-only reference the fuzz oracle
-    /// `modular` compares against; reports are byte-identical either way.
+    /// Decide each distinct context of a repeated module once and reuse
+    /// its proven obligations (see above). Off is the flattened-only
+    /// reference the fuzz oracle `modular` compares against; reports are
+    /// byte-identical either way.
     bool modular = true;
 };
 
 /// Where modular checking decided the obligations of one check.
 struct ModularStats {
-    /// Repeated modules checked alone.
-    uint64_t module_checks = 0;
-    /// Obligations proven without a solver call in the flattened design:
-    /// by a module check, or by the same query of an isomorphic instance.
+    /// Groups of instances of a repeated key with isomorphic input-port
+    /// closures.
+    uint64_t groups = 0;
+    /// Obligations proven without a solver call: by the same query in the
+    /// first instance of their group.
     uint64_t reused = 0;
     /// Obligations sent to the solver in the flattened design.
     uint64_t solved = 0;
@@ -98,9 +95,7 @@ struct Obligation {
     std::string rhs_label;
     solver::EntailResult result;
     /// Wall time spent deciding this obligation, for per-obligation
-    /// latency profiles (bench_solver). The solve time of a module check
-    /// is charged to the matching obligations of the module's first
-    /// instance.
+    /// latency profiles (bench_solver). Near zero for a reused verdict.
     double solve_ms = 0;
 };
 
@@ -109,7 +104,6 @@ struct CheckResult {
     std::vector<Obligation> obligations;
     size_t failed = 0;
     size_t downgrade_count = 0;
-    /// Over the flattened check and every module check.
     solver::EntailmentEngine::Stats solver_stats;
     ModularStats modular;
     /// The solver's deadline (CheckOptions::solver.deadline) expired;

@@ -39,7 +39,7 @@ solver::EntailmentEngine::Stats BatchReport::solver_totals() const {
 check::ModularStats BatchReport::modular_totals() const {
     check::ModularStats t;
     for (const auto& r : results) {
-        t.module_checks += r.modular.module_checks;
+        t.groups += r.modular.groups;
         t.reused += r.modular.reused;
         t.solved += r.modular.solved;
     }
@@ -50,7 +50,7 @@ namespace {
 
 void put_modular_stats(JsonWriter& w, const check::ModularStats& m) {
     w.begin_object();
-    w.kv("module_checks", m.module_checks);
+    w.kv("groups", m.groups);
     w.kv("reused", m.reused);
     w.kv("solved", m.solved);
     w.end_object();

@@ -503,46 +503,83 @@ private:
         line("  end");
     }
 
-    /// `top`: 2-3 instances of `child`. Each input port is tied to a
-    /// constant or to a top input of the same width and label; every
-    /// output surfaces as a top output.
+    /// A port of an instantiated module: its name there, the wrapper net
+    /// an input is tied to, and its width and label.
+    struct Port {
+        std::string inner, outer;
+        uint32_t width;
+        std::string label;
+    };
+
+    /// `top`: 2-3 instances of `child`. In about one program in three
+    /// that module is `mid`, and `top` instantiates it twice, so one
+    /// repeated module nests inside another.
     void emit_wrapper() {
-        size_t copies = 2 + rng_.below(2);
-        std::string hdr = "module top(";
+        bool nest = rng_.chance(33);
+        std::vector<Port> ins, outs;
+        for (const auto& n : nets_) {
+            if (n.input)
+                ins.push_back({n.name, "t_" + n.name, n.width, n.label_text});
+            else if (n.output)
+                outs.push_back({n.name, "", n.width, n.label_text});
+        }
+        outs = emit_instances(nest ? "mid" : "top", "child", "c", "o",
+                              2 + rng_.below(2), ins, outs);
+        if (!nest)
+            return;
+        for (Port& in : ins)
+            in.inner = in.outer;
+        emit_instances("top", "mid", "m", "m", 2, ins, outs);
+    }
+
+    /// Emits module `name` with `copies` instances of `inner`. Each input
+    /// port is tied to a constant or to the wrapper input of the same
+    /// width and label; every output surfaces as a wrapper output
+    /// `<out_prefix><k>_<port>`, and those are returned.
+    std::vector<Port> emit_instances(const std::string& name,
+                                     const std::string& inner,
+                                     const char* inst_prefix,
+                                     const char* out_prefix, size_t copies,
+                                     const std::vector<Port>& ins,
+                                     const std::vector<Port>& outs) {
+        std::string hdr = "module " + name + "(";
         bool first = true;
         auto port = [&](const std::string& decl) {
             hdr += first ? "" : ",\n           ";
             first = false;
             hdr += decl;
         };
-        for (const auto& n : nets_)
-            if (n.input)
-                port("input com " + width_text(n.width) + "{" + n.label_text +
-                     "} t_" + n.name);
+        for (const Port& in : ins)
+            port("input com " + width_text(in.width) + "{" + in.label +
+                 "} " + in.outer);
+        std::vector<Port> made;
         for (size_t k = 0; k < copies; ++k)
-            for (const auto& n : nets_)
-                if (n.output)
-                    port("output com " + width_text(n.width) + "{" +
-                         n.label_text + "} " + numbered("o", k) + "_" +
-                         n.name);
+            for (const Port& out : outs) {
+                made.push_back({numbered(out_prefix, k) + "_" + out.inner, "",
+                                out.width, out.label});
+                port("output com " + width_text(out.width) + "{" +
+                     out.label + "} " + made.back().inner);
+            }
         line(hdr + ");");
         for (size_t k = 0; k < copies; ++k) {
-            std::string inst = "  child " + numbered("c", k) + "(";
+            std::string inst = "  " + inner + " " +
+                               numbered(inst_prefix, k) + "(";
             first = true;
-            for (const auto& n : nets_) {
-                if (!n.input && !n.output)
-                    continue;
-                std::string conn =
-                    n.output ? numbered("o", k) + "_" + n.name
-                    : rng_.chance(30) ? hex_literal(n.width, rng_.next())
-                                      : "t_" + n.name;
+            auto connect = [&](const std::string& port, const std::string& to) {
                 inst += first ? "" : ", ";
                 first = false;
-                inst += "." + n.name + "(" + conn + ")";
-            }
+                inst += "." + port + "(" + to + ")";
+            };
+            for (const Port& in : ins)
+                connect(in.inner, rng_.chance(30)
+                                      ? hex_literal(in.width, rng_.next())
+                                      : in.outer);
+            for (const Port& out : outs)
+                connect(out.inner, numbered(out_prefix, k) + "_" + out.inner);
             line(inst + ");");
         }
         line("endmodule");
+        return made;
     }
 
     void emit_com_drivers() {

@@ -20,8 +20,10 @@ struct GenOptions {
     int accept_bias_percent = 60;
     /// The multi-instance shape: the generated module becomes `child`,
     /// instantiated 2-3 times under a generated `top` with some input
-    /// ports tied to constants. The child may also take an `input seq`
-    /// port, read through next() and used as a label-function argument.
+    /// ports tied to constants. In about one program in three that
+    /// wrapper is `mid`, instantiated twice under `top` the same way. The
+    /// child may also take an `input seq` port, read through next() and
+    /// used as a label-function argument.
     bool modular = false;
 };
 

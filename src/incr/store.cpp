@@ -234,6 +234,16 @@ bool decode_stored_verdict(const std::string& payload, StoredVerdict& out) {
     }
     if (!c.ok || c.pos != payload.size())
         return false;
+    // Fields that contradict each other fail closed too: a secure verdict
+    // has no failures, and every failed obligation is one flagged record
+    // with a kind and a non-proven status.
+    if ((v.secure && v.failed != 0) || v.failed > v.obligations ||
+        v.flagged.size() != v.failed)
+        return false;
+    for (const auto& rec : v.flagged)
+        if ((rec.status != "refuted" && rec.status != "unknown") ||
+            (rec.kind != "com" && rec.kind != "seq" && rec.kind != "hold"))
+            return false;
     out = std::move(v);
     return true;
 }

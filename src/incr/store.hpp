@@ -69,8 +69,11 @@ struct StoreOptions {
 /// verdict file (store header/checksum excluded). Deterministic: equal
 /// verdicts encode to equal bytes.
 std::string encode_stored_verdict(const StoredVerdict& v);
-/// Inverse of encode_stored_verdict. False on any malformation (fails
-/// closed, like every other store reader).
+/// Inverse of encode_stored_verdict. False on any malformation, including
+/// fields that contradict each other: a secure verdict with failures,
+/// more failures than obligations, a flagged-record count other than
+/// `failed`, or a record whose status is not refuted/unknown or whose
+/// kind is not com/seq/hold (fails closed, like every other store reader).
 bool decode_stored_verdict(const std::string& payload, StoredVerdict& out);
 
 class ArtifactStore {

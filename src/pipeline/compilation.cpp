@@ -216,7 +216,7 @@ std::string solver_stats_line(const check::CheckResult& result) {
                   "enumeration), hit_rate %.2f\n"
                   "solver search: %llu conflicts, %llu propagations, "
                   "%llu learned clauses, %llu restarts\n"
-                  "modular: %llu module check(s), %llu obligation(s) "
+                  "modular: %llu group(s), %llu obligation(s) "
                   "reused, %llu solved in the flattened design\n",
                   static_cast<unsigned long long>(s.queries),
                   static_cast<unsigned long long>(s.syntactic_hits),
@@ -230,7 +230,7 @@ std::string solver_stats_line(const check::CheckResult& result) {
                   static_cast<unsigned long long>(s.propagations),
                   static_cast<unsigned long long>(s.learned_clauses),
                   static_cast<unsigned long long>(s.restarts),
-                  static_cast<unsigned long long>(m.module_checks),
+                  static_cast<unsigned long long>(m.groups),
                   static_cast<unsigned long long>(m.reused),
                   static_cast<unsigned long long>(m.solved));
     return line;

@@ -179,20 +179,18 @@ private:
 
 } // namespace
 
-Equations build_equations(const Design& design, size_t proc_begin,
-                          size_t proc_end) {
-    proc_end = std::min(proc_end, design.processes.size());
+Equations build_equations(const Design& design) {
     Equations eq;
     eq.defs.resize(design.nets.size());
     eq.free.resize(design.nets.size());
     for (const Net& net : design.nets)
         eq.free[net.id] = net.is_input;
-    for (size_t pi = 0; pi < design.processes.size(); ++pi)
-        for (NetId n : design.processes[pi].writes)
-            eq.free[n] = pi < proc_begin || pi >= proc_end;
-    for (size_t pi = proc_begin; pi < proc_end; ++pi)
-        for (auto& [net, expr] : SymbolicExec(design, design.processes[pi]).run())
+    for (const Process& proc : design.processes) {
+        for (NetId n : proc.writes)
+            eq.free[n] = false;
+        for (auto& [net, expr] : SymbolicExec(design, proc).run())
             eq.defs[net] = std::move(expr);
+    }
     return eq;
 }
 

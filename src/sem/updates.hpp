@@ -24,10 +24,9 @@ struct Equations {
     /// Null for inputs, arrays, and undriven nets.
     std::vector<hir::ExprPtr> defs;
     /// free[net]: the environment drives the net, so it takes any value
-    /// in either cycle. That is an undriven top-level input, or a net
-    /// driven by a process outside the range the equations were built
-    /// from (an input port of an instance checked alone). A free net has
-    /// no defining equation and no hold equation r' == r.
+    /// in either cycle. That is an input port no process writes: a
+    /// top-level input, or an unconnected input of an instance. A free
+    /// net has no defining equation and no hold equation r' == r.
     std::vector<bool> free;
 
     [[nodiscard]] const hir::Expr* def(hir::NetId n) const {
@@ -38,11 +37,9 @@ struct Equations {
     }
 };
 
-/// Builds defining equations by symbolically executing the processes
-/// [proc_begin, proc_end), by default every process. Requires a
-/// well-formed design (run analyze_wellformed first).
-Equations build_equations(const hir::Design& design, size_t proc_begin = 0,
-                          size_t proc_end = ~size_t{0});
+/// Builds defining equations by symbolically executing every process.
+/// Requires a well-formed design (run analyze_wellformed first).
+Equations build_equations(const hir::Design& design);
 
 /// A single guarded write extracted from a sequential process, in program
 /// order (later entries take priority).

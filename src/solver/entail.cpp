@@ -234,113 +234,9 @@ bool EntailmentEngine::syntactic_covered(
     return false;
 }
 
-EntailmentEngine::Query EntailmentEngine::prepare(
-    const SolverLabel& lhs, const SolverLabel& rhs,
-    const std::vector<const Expr*>& user_facts) {
-    Query q;
-    // ------------------------------------------------------------------
-    // Gather variables and pull in defining equations (closure).
-    // ------------------------------------------------------------------
-    q.facts = user_facts;
-    std::vector<Var> vars;
-    if (++epoch_ == 0) { // wrapped: forget every mark
-        std::fill(seen_.begin(), seen_.end(), 0);
-        epoch_ = 1;
-    }
-    auto add_var = [&](NetId net, bool primed) {
-        uint32_t& mark = seen_[2 * size_t{net} + (primed ? 1 : 0)];
-        if (mark != epoch_) {
-            mark = epoch_;
-            vars.push_back({net, primed});
-        }
-    };
-    for (const auto& atom : lhs.atoms)
-        for (const auto& arg : atom.args)
-            add_var(arg.net, arg.primed);
-    for (const auto& atom : rhs.atoms)
-        for (const auto& arg : atom.args)
-            add_var(arg.net, arg.primed);
-    size_t label_var_count = vars.size();
-    for (const Expr* f : q.facts)
-        for_each_var(*f, add_var);
-
-    // A refutation is only trustworthy when every defining equation the
-    // candidate space is subject to made it into the fact set; if
-    // closure_depth cuts the closure short, a "definitely satisfying"
-    // candidate may be ruled out by one of the dropped equations.
-    if (opts_.use_equations) {
-        auto may_have_equation = [&](Var v) {
-            if (eqs_.is_free(v.first))
-                return false;
-            if (v.second)
-                return opts_.use_primed_equations;
-            return design_.net(v.first).kind == NetKind::Com &&
-                   eqs_.def(v.first) != nullptr;
-        };
-        // `vars` holds each variable once, so each frontier is new.
-        size_t frontier_begin = 0;
-        for (int depth = 0; depth < opts_.closure_depth; ++depth) {
-            size_t frontier_end = vars.size();
-            for (size_t vi = frontier_begin; vi < frontier_end; ++vi) {
-                if (const Equation* equation = equation_fact(vars[vi])) {
-                    for (auto [net, primed] : equation->vars)
-                        add_var(net, primed);
-                    q.facts.push_back(equation->fact.get());
-                }
-            }
-            frontier_begin = frontier_end;
-            if (frontier_begin == vars.size())
-                break;
-        }
-        for (size_t vi = frontier_begin; vi < vars.size(); ++vi) {
-            if (may_have_equation(vars[vi])) {
-                q.closure_truncated = true;
-                break;
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Choose the enumeration set: label arguments first (they decide the
-    // goal), then remaining small variables, under the domain budget.
-    // ------------------------------------------------------------------
-    std::stable_sort(vars.begin() + static_cast<long>(label_var_count),
-                     vars.end(), [&](const Var& a, const Var& b) {
-                         return design_.net(a.first).width <
-                                design_.net(b.first).width;
-                     });
-    for (const Var& v : vars) {
-        const Net& net = design_.net(v.first);
-        if (net.array_size != 0)
-            continue;
-        if (net.width > opts_.max_enum_width)
-            continue;
-        uint64_t size = uint64_t{1} << net.width;
-        if (q.domain > opts_.max_candidates / size)
-            break;
-        if (q.enum_vars.size() >= opts_.max_enum_vars)
-            break;
-        q.enum_vars.push_back(v);
-        q.domain *= size;
-    }
-    return q;
-}
-
-bool EntailmentEngine::enumerates(const SolverLabel& lhs,
-                                  const SolverLabel& rhs,
-                                  const std::vector<const Expr*>& facts,
-                                  const std::vector<Var>& vars) {
-    Query q = prepare(lhs, rhs, facts);
-    for (const Var& v : vars)
-        if (std::find(q.enum_vars.begin(), q.enum_vars.end(), v) ==
-            q.enum_vars.end())
-            return false;
-    return true;
-}
-
 std::string EntailmentEngine::closure_signature(const std::vector<Var>& roots,
                                                 NetId begin, NetId end) {
-    // Breadth-first from the roots, as prepare() walks a closure, one
+    // Breadth-first from the roots, as check_flow() walks a closure, one
     // level further than closure_depth so the last level's equations
     // (which decide truncation) show too. Past the roots an equation is
     // followed only outside [begin, end): inside, every instance of a
@@ -424,7 +320,7 @@ std::string EntailmentEngine::closure_signature(const std::vector<Var>& roots,
 
 EntailResult EntailmentEngine::check_flow(
     const SolverLabel& lhs, const SolverLabel& rhs,
-    const std::vector<const Expr*>& user_facts, std::vector<Var>* enumerated) {
+    const std::vector<const Expr*>& user_facts) {
     ++stats_.queries;
     EntailResult result;
 
@@ -450,9 +346,94 @@ EntailResult EntailmentEngine::check_flow(
         }
     }
 
-    Query q = prepare(lhs, rhs, user_facts);
-    if (enumerated)
-        *enumerated = q.enum_vars;
+    // ------------------------------------------------------------------
+    // Gather variables and pull in defining equations (closure).
+    // ------------------------------------------------------------------
+    std::vector<const Expr*> facts = user_facts;
+    std::vector<Var> vars;
+    if (++epoch_ == 0) { // wrapped: forget every mark
+        std::fill(seen_.begin(), seen_.end(), 0);
+        epoch_ = 1;
+    }
+    auto add_var = [&](NetId net, bool primed) {
+        uint32_t& mark = seen_[2 * size_t{net} + (primed ? 1 : 0)];
+        if (mark != epoch_) {
+            mark = epoch_;
+            vars.push_back({net, primed});
+        }
+    };
+    for (const auto& atom : lhs.atoms)
+        for (const auto& arg : atom.args)
+            add_var(arg.net, arg.primed);
+    for (const auto& atom : rhs.atoms)
+        for (const auto& arg : atom.args)
+            add_var(arg.net, arg.primed);
+    size_t label_var_count = vars.size();
+    for (const Expr* f : facts)
+        for_each_var(*f, add_var);
+
+    // A refutation is only trustworthy when every defining equation the
+    // candidate space is subject to made it into the fact set; if
+    // closure_depth cuts the closure short, a "definitely satisfying"
+    // candidate may be ruled out by one of the dropped equations.
+    bool closure_truncated = false;
+    if (opts_.use_equations) {
+        auto may_have_equation = [&](Var v) {
+            if (eqs_.is_free(v.first))
+                return false;
+            if (v.second)
+                return opts_.use_primed_equations;
+            return design_.net(v.first).kind == NetKind::Com &&
+                   eqs_.def(v.first) != nullptr;
+        };
+        // `vars` holds each variable once, so each frontier is new.
+        size_t frontier_begin = 0;
+        for (int depth = 0; depth < opts_.closure_depth; ++depth) {
+            size_t frontier_end = vars.size();
+            for (size_t vi = frontier_begin; vi < frontier_end; ++vi) {
+                if (const Equation* equation = equation_fact(vars[vi])) {
+                    for (auto [net, primed] : equation->vars)
+                        add_var(net, primed);
+                    facts.push_back(equation->fact.get());
+                }
+            }
+            frontier_begin = frontier_end;
+            if (frontier_begin == vars.size())
+                break;
+        }
+        for (size_t vi = frontier_begin; vi < vars.size(); ++vi) {
+            if (may_have_equation(vars[vi])) {
+                closure_truncated = true;
+                break;
+            }
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Choose the enumeration set: label arguments first (they decide the
+    // goal), then remaining small variables, under the domain budget.
+    // ------------------------------------------------------------------
+    std::stable_sort(vars.begin() + static_cast<long>(label_var_count),
+                     vars.end(), [&](const Var& a, const Var& b) {
+                         return design_.net(a.first).width <
+                                design_.net(b.first).width;
+                     });
+    std::vector<Var> enum_vars;
+    uint64_t domain = 1;
+    for (const Var& v : vars) {
+        const Net& net = design_.net(v.first);
+        if (net.array_size != 0)
+            continue;
+        if (net.width > opts_.max_enum_width)
+            continue;
+        uint64_t size = uint64_t{1} << net.width;
+        if (domain > opts_.max_candidates / size)
+            break;
+        if (enum_vars.size() >= opts_.max_enum_vars)
+            break;
+        enum_vars.push_back(v);
+        domain *= size;
+    }
 
     // ------------------------------------------------------------------
     // Memoization: identical canonicalized queries (same labels, same
@@ -461,11 +442,11 @@ EntailResult EntailmentEngine::check_flow(
     // re-enumerate than to serialize, so they skip the cache.
     // ------------------------------------------------------------------
     std::string cache_key;
-    if (opts_.cache && q.domain >= 8) {
+    if (opts_.cache && domain >= 8) {
         CacheKeyBuilder kb(design_, key_prefix_);
         kb.add_label('L', lhs);
         kb.add_label('R', rhs);
-        for (const Expr* f : q.facts)
+        for (const Expr* f : facts)
             kb.add_fact(*f);
         cache_key = kb.finish();
         if (auto hit = opts_.cache->lookup(cache_key)) {
@@ -481,12 +462,12 @@ EntailResult EntailmentEngine::check_flow(
     // Enumerate candidates (delegated to the configured backend).
     // ------------------------------------------------------------------
     ++stats_.enumerations;
-    EnumProblem problem{design_, lhs, rhs, q.facts, {}, 1, {}};
-    problem.vars.reserve(q.enum_vars.size());
-    for (const Var& v : q.enum_vars)
+    EnumProblem problem{design_, lhs, rhs, facts, {}, 1, {}};
+    problem.vars.reserve(enum_vars.size());
+    for (const Var& v : enum_vars)
         problem.vars.push_back({v.first, v.second,
                                 design_.net(v.first).width});
-    problem.domain = q.domain;
+    problem.domain = domain;
     problem.deadline = opts_.deadline;
 
     result = backend_->enumerate(problem);
@@ -495,7 +476,7 @@ EntailResult EntailmentEngine::check_flow(
     stats_.propagations += result.propagations;
     stats_.learned_clauses += result.learned_clauses;
     stats_.restarts += result.restarts;
-    if (result.status == EntailStatus::Refuted && q.closure_truncated) {
+    if (result.status == EntailStatus::Refuted && closure_truncated) {
         // The counterexample satisfies a weakened fact set; the equations
         // the closure budget dropped may exclude it, so surrender the
         // verdict rather than report a possibly-unreachable state.

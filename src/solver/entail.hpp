@@ -151,22 +151,9 @@ public:
 
     /// Checks C ⇒ lhs ⊑ rhs where `facts` are expressions assumed
     /// non-zero. The engine augments facts with defining equations of the
-    /// signals involved (the cycle-by-cycle reasoning of the paper). When
-    /// the query gets past the syntactic fast path and `enumerated` is
-    /// set, it receives the variables the candidate space ranges over.
+    /// signals involved (the cycle-by-cycle reasoning of the paper).
     EntailResult check_flow(const SolverLabel& lhs, const SolverLabel& rhs,
-                            const std::vector<const hir::Expr*>& facts,
-                            std::vector<Var>* enumerated = nullptr);
-
-    /// True when the query for (lhs, rhs, facts) would enumerate every
-    /// variable in `vars`, without deciding it. A Proven verdict over a
-    /// subset of this query's facts whose candidates ranged over `vars`
-    /// is then also this query's verdict: each of its candidates extends
-    /// one of those, and three-valued evaluation keeps every definite
-    /// value when more variables are known.
-    bool enumerates(const SolverLabel& lhs, const SolverLabel& rhs,
-                    const std::vector<const hir::Expr*>& facts,
-                    const std::vector<Var>& vars);
+                            const std::vector<const hir::Expr*>& facts);
 
     /// A canonical rendering of what the defining-equation closure
     /// reaches from `roots` outside the net range [begin, end): nets in
@@ -204,17 +191,6 @@ public:
     [[nodiscard]] bool past_deadline() const;
 
 private:
-    /// A query after the defining-equation closure: its facts and the
-    /// variables the candidate space ranges over.
-    struct Query {
-        std::vector<const hir::Expr*> facts;
-        std::vector<Var> enum_vars;
-        uint64_t domain = 1;
-        bool closure_truncated = false;
-    };
-    Query prepare(const SolverLabel& lhs, const SolverLabel& rhs,
-                  const std::vector<const hir::Expr*>& user_facts);
-
     bool syntactic_covered(const SolverAtom& atom, const SolverLabel& rhs,
                            const std::vector<const hir::Expr*>& facts) const;
     /// A synthesized `x == def(x)` fact and the variables it reads, each

@@ -77,6 +77,56 @@ module m(input com {T} rst,
 endmodule
 )";
 
+/// A rejected verdict whose failed obligations each have one flagged
+/// record, as the driver stores them.
+StoredVerdict rejected_verdict(uint64_t obligations, uint64_t failed) {
+    StoredVerdict v;
+    v.obligations = obligations;
+    v.failed = failed;
+    for (uint64_t i = 0; i < failed; ++i) {
+        pipeline::ObligationRecord rec;
+        rec.id = "m:r:seq:" + std::to_string(i);
+        rec.kind = "seq";
+        rec.status = "refuted";
+        v.flagged.push_back(std::move(rec));
+    }
+    return v;
+}
+
+/// Verdicts whose fields contradict each other, each built from a
+/// consistent one by changing one field, with what was changed.
+std::vector<std::pair<StoredVerdict, std::string>> contradictory_verdicts() {
+    std::vector<std::pair<StoredVerdict, std::string>> out;
+    auto add = [&](const std::string& what, auto&& mutate) {
+        StoredVerdict v = rejected_verdict(5, 1);
+        mutate(v);
+        out.emplace_back(std::move(v), what);
+    };
+    add("secure with a failure", [](StoredVerdict& v) { v.secure = true; });
+    add("secure with a flagged record", [](StoredVerdict& v) {
+        v.secure = true;
+        v.failed = 0;
+    });
+    add("more failures than obligations", [](StoredVerdict& v) {
+        v = rejected_verdict(5, 9);
+    });
+    add("fewer flagged records than failures",
+        [](StoredVerdict& v) { v.failed = 2; });
+    add("more flagged records than failures",
+        [](StoredVerdict& v) { v.flagged.push_back(v.flagged.back()); });
+    add("no flagged record", [](StoredVerdict& v) { v.flagged.clear(); });
+    add("proven record", [](StoredVerdict& v) {
+        v.flagged[0].status = "proven";
+    });
+    add("record without a status",
+        [](StoredVerdict& v) { v.flagged[0].status.clear(); });
+    add("record of an unknown kind",
+        [](StoredVerdict& v) { v.flagged[0].kind = "wire"; });
+    add("record without a kind",
+        [](StoredVerdict& v) { v.flagged[0].kind.clear(); });
+    return out;
+}
+
 class IncrTest : public ::testing::Test {
 protected:
     void SetUp() override {
@@ -161,10 +211,7 @@ TEST_F(IncrTest, VerdictRoundTrip) {
     std::string fp = sha256_hex("some job");
     EXPECT_FALSE(store.load_verdict(fp).has_value());
 
-    StoredVerdict v;
-    v.secure = false;
-    v.obligations = 7;
-    v.failed = 2;
+    StoredVerdict v = rejected_verdict(7, 2);
     v.downgrades = 1;
     v.diagnostics = "line one\nline \"two\" with bytes \x01\x02\n";
     ASSERT_TRUE(store.store_verdict(fp, v));
@@ -204,6 +251,7 @@ TEST_F(IncrTest, CorruptVerdictIsDiscardedNotReplayed) {
     v.diagnostics = "error: flow violation\n";
     pipeline::ObligationRecord rec;
     rec.id = "m.r#0";
+    rec.kind = "seq";
     rec.status = "refuted";
     rec.witness.push_back({"mode", true, 1});
     v.flagged.push_back(rec);
@@ -240,6 +288,51 @@ TEST_F(IncrTest, CorruptVerdictIsDiscardedNotReplayed) {
               incr::encode_stored_verdict(v));
 }
 
+TEST_F(IncrTest, ContradictoryVerdictIsDiscardedAndTheJobVerifiesAgain) {
+    std::string b = write("b.svlc", kRejected);
+    std::vector<JobSpec> jobs = {{b, b, "", "", 0}};
+    DriverOptions opts;
+    opts.store_dir = store_dir();
+    BatchReport cold = VerificationDriver(opts).run(jobs);
+    ASSERT_EQ(cold.results.size(), 1u);
+    ASSERT_EQ(cold.results[0].status, JobStatus::Rejected);
+    std::string fp = cold.results[0].fingerprint;
+    ASSERT_FALSE(fp.empty());
+    fs::path file =
+        fs::path(store_dir()) / "v2" / "verdicts" / fp.substr(0, 2) / fp;
+
+    // Each contradictory record has a valid header and checksum, yet
+    // loads as a miss, counts one discard and is deleted.
+    ArtifactStore store({store_dir()});
+    std::string error;
+    ASSERT_TRUE(store.open(error)) << error;
+    auto valid = store.load_verdict(fp);
+    ASSERT_TRUE(valid.has_value());
+    uint64_t discarded = 0;
+    for (const auto& [v, what] : contradictory_verdicts()) {
+        ASSERT_TRUE(store.store_verdict(fp, v)) << what;
+        EXPECT_FALSE(store.load_verdict(fp).has_value()) << what;
+        EXPECT_EQ(store.stats().corrupt_discarded, ++discarded) << what;
+        EXPECT_FALSE(fs::exists(file)) << what;
+    }
+
+    // The stored verdict of the rejected job, turned secure: the driver
+    // discards it and verifies the job again, rejecting it as before.
+    StoredVerdict forged = *valid;
+    forged.secure = true;
+    ASSERT_TRUE(store.store_verdict(fp, forged));
+    BatchReport warm = VerificationDriver(opts).run(jobs);
+    EXPECT_EQ(warm.skipped_count(), 0u);
+    EXPECT_EQ(warm.store.corrupt_discarded, 1u);
+    EXPECT_EQ(warm.results[0].status, JobStatus::Rejected);
+    EXPECT_EQ(cold.to_json(false), warm.to_json(false));
+    // Verifying again wrote a sound record, which the next run replays.
+    BatchReport again = VerificationDriver(opts).run(jobs);
+    EXPECT_EQ(again.skipped_count(), 1u);
+    EXPECT_EQ(again.store.corrupt_discarded, 0u);
+    EXPECT_EQ(cold.to_json(false), again.to_json(false));
+}
+
 TEST_F(IncrTest, VersionMismatchedStoreIsRebuilt) {
     ArtifactStore store({store_dir()});
     std::string error;
@@ -263,10 +356,7 @@ TEST_F(IncrTest, VersionMismatchedStoreIsRebuilt) {
 // --- store codec -----------------------------------------------------------
 
 TEST(IncrCodec, StoredVerdictRoundTripsAndFailsClosed) {
-    StoredVerdict v;
-    v.secure = false;
-    v.obligations = 11;
-    v.failed = 3;
+    StoredVerdict v = rejected_verdict(11, 3);
     v.downgrades = 2;
     v.diagnostics = "multi\nline \x01 bytes";
     std::string payload = incr::encode_stored_verdict(v);
@@ -286,6 +376,32 @@ TEST(IncrCodec, StoredVerdictRoundTripsAndFailsClosed) {
         payload.substr(0, payload.size() / 2), out));
     EXPECT_FALSE(incr::decode_stored_verdict(payload + "extra", out));
     EXPECT_FALSE(incr::decode_stored_verdict("", out));
+}
+
+TEST(IncrCodec, ContradictoryFieldsFailClosed) {
+    StoredVerdict out;
+    for (StoredVerdict secure : {StoredVerdict{}, rejected_verdict(5, 0)}) {
+        secure.secure = true;
+        EXPECT_TRUE(incr::decode_stored_verdict(
+            incr::encode_stored_verdict(secure), out));
+    }
+    for (const char* kind : {"com", "seq", "hold"})
+        for (const char* status : {"refuted", "unknown"}) {
+            StoredVerdict v = rejected_verdict(5, 1);
+            v.flagged[0].kind = kind;
+            v.flagged[0].status = status;
+            EXPECT_TRUE(incr::decode_stored_verdict(
+                incr::encode_stored_verdict(v), out))
+                << kind << " " << status;
+        }
+    for (const auto& [v, what] : contradictory_verdicts()) {
+        out = rejected_verdict(3, 3);
+        EXPECT_FALSE(incr::decode_stored_verdict(
+            incr::encode_stored_verdict(v), out))
+            << what;
+        // A failed decode leaves the output alone.
+        EXPECT_EQ(out.failed, 3u) << what;
+    }
 }
 
 TEST_F(IncrTest, LegacyV1StoreIsDiscardedWholesale) {

@@ -1,7 +1,8 @@
-// Modular checking (check/typecheck.hpp): every repeated module is checked
-// once alone and its proven obligations are reused in each instance. The
-// reports must stay byte-identical to the flattened-only reference
-// (CheckOptions::modular = false), while the repeated instances cost no
+// Modular checking (check/typecheck.hpp): the instances of a repeated
+// module are grouped by the closure of their input ports, and a later
+// instance of a group takes the Proven verdicts of the first. The reports
+// must stay byte-identical to the flattened-only reference
+// (CheckOptions::modular = false), while the reused obligations cost no
 // solver queries.
 #include "hunt/hunter.hpp"
 #include "pipeline/compilation.hpp"
@@ -46,8 +47,9 @@ endmodule
 )";
 
 // The child keeps r when it is not written, and r's label follows the
-// `input seq` port m. Alone, with m' == m, the hold obligation would
-// hold; the parent drives m, so m' is whatever the parent computes.
+// `input seq` port m. With m' == m the hold obligation would hold; the
+// parent drives m, so m' is whatever the parent computes. The two
+// instances see tm and ~tm, so their contexts differ.
 const char* kSeqPortChild = R"(
 lattice { level T; level U; flow T -> U; }
 function lb(x:1) { 0 -> T; default -> U; }
@@ -94,7 +96,7 @@ Checked expect_same_as_flattened(const std::string& source,
     Checked modular = run_check(source, true, opts);
     EXPECT_EQ(flat.diagnostics, modular.diagnostics);
     EXPECT_EQ(flat.report, modular.report);
-    EXPECT_EQ(flat.result.modular.module_checks, 0u);
+    EXPECT_EQ(flat.result.modular.groups, 0u);
     EXPECT_EQ(flat.result.modular.reused, 0u);
     return modular;
 }
@@ -179,8 +181,7 @@ endmodule
 }
 
 TEST(Modular, TwinSecondInstanceIsDecidedWithoutQueries) {
-    // The core as the top: its ports are top-level inputs, free in both
-    // cycles exactly as in the module check.
+    // The core as the top, for its obligation count.
     auto alone = compile(kTwin, "core");
     ASSERT_TRUE(alone.ok()) << alone.errors();
     DiagnosticEngine d_alone;
@@ -190,23 +191,22 @@ TEST(Modular, TwinSecondInstanceIsDecidedWithoutQueries) {
     Checked twin = expect_same_as_flattened(kTwin);
     const check::CheckResult& r = twin.result;
     EXPECT_TRUE(r.ok);
-    EXPECT_EQ(r.modular.module_checks, 1u);
-    EXPECT_EQ(r.modular.reused, 2 * core.obligations.size());
+    EXPECT_EQ(r.modular.groups, 1u);
+    // Core b takes every verdict of core a; only a and the twin's own
+    // obligations are sent to the solver.
+    EXPECT_EQ(r.modular.reused, core.obligations.size());
     EXPECT_EQ(r.modular.reused + r.modular.solved, r.obligations.size());
-    // The module check issues the core's queries once; the flattened walk
-    // only queries the twin's own obligations.
-    EXPECT_EQ(r.solver_stats.queries,
-              core.solver_stats.queries + r.modular.solved);
+    EXPECT_EQ(r.solver_stats.queries, r.modular.solved);
 }
 
-TEST(Modular, ParentDrivenSeqPortIsFreeInTheModuleCheck) {
-    // Without the free-port rule the module check proves the hold
-    // obligation (m' == m), and reuse would call this design secure.
+TEST(Modular, ParentDrivenSeqPortMatchesTheFlattenedCheck) {
+    // The hold obligation fails in both instances: the parent drives m.
+    // The instances see different contexts, so each is solved.
     Checked c = expect_same_as_flattened(kSeqPortChild);
     EXPECT_FALSE(c.result.ok);
     EXPECT_EQ(c.result.failed, 2u);
-    EXPECT_EQ(c.result.modular.module_checks, 1u);
-    EXPECT_GT(c.result.modular.reused, 0u);
+    EXPECT_EQ(c.result.modular.groups, 2u);
+    EXPECT_EQ(c.result.modular.reused, 0u);
     for (const auto& ob : c.result.obligations) {
         if (!ob.result.proven()) {
             EXPECT_EQ(ob.kind, check::ObligationKind::Hold) << ob.id;
@@ -241,11 +241,32 @@ TEST(Modular, TopLevelInputSeqPortIsFree) {
     EXPECT_EQ(h.unconfirmed_candidates, 0u);
 }
 
+TEST(Modular, NestedRepeatedModulesReuseTheInnermostInstance) {
+    // `tile` repeats in `top`, and `core` and `leaky` repeat in every
+    // tile. Each obligation belongs to its innermost repeated instance:
+    // the cores form two groups (handoff h and ~h), the tiles and the
+    // leaky children one each. Tile y takes the verdicts of tile x's own
+    // port wiring, each core of y those of its match in x, and y's leaky
+    // child the proven one of x's.
+    std::string source;
+    ASSERT_TRUE(read_file(SVLC_FIXTURE_DIR "/modular/nested_tiles.svlc",
+                          source));
+    Checked c = expect_same_as_flattened(source);
+    EXPECT_FALSE(c.result.ok);
+    EXPECT_EQ(c.result.failed, 2u);
+    EXPECT_EQ(c.result.modular.groups, 4u);
+    EXPECT_EQ(c.result.modular.reused, 21u);
+    EXPECT_EQ(c.result.modular.solved, 31u);
+    EXPECT_EQ(c.result.solver_stats.queries, c.result.modular.solved);
+    EXPECT_NE(c.diagnostics.find("'x.k.r'"), std::string::npos);
+    EXPECT_NE(c.diagnostics.find("'y.k.r'"), std::string::npos);
+}
+
 TEST(Modular, VulnerableInstanceWitnessComesFromTheFlattenedContext) {
     std::string ring = mixed_ring_source();
     Checked c = expect_same_as_flattened(ring);
     EXPECT_FALSE(c.result.ok);
-    EXPECT_EQ(c.result.modular.module_checks, 2u); // cpu and cpu_vuln
+    EXPECT_EQ(c.result.modular.groups, 2u); // cpu and cpu_vuln
     EXPECT_GT(c.result.modular.reused, 0u);
 
     // Alone, the vulnerable core's failures may pick fstall=1; in the
@@ -281,13 +302,18 @@ TEST(Modular, ClassicModeReusesAndMatches) {
     check::CheckOptions classic;
     classic.mode = check::CheckerMode::ClassicSecVerilog;
     Checked c = expect_same_as_flattened(proc::quad_core_source(), classic);
-    EXPECT_EQ(c.result.modular.module_checks, 1u);
+    EXPECT_EQ(c.result.modular.groups, 1u);
     EXPECT_GT(c.result.modular.reused, 0u);
 
     Checked lc = expect_same_as_flattened(proc::quad_core_source());
     EXPECT_TRUE(lc.result.ok);
-    EXPECT_EQ(lc.result.modular.module_checks, 1u);
-    EXPECT_GT(lc.result.modular.reused, 3 * lc.result.modular.solved);
+    EXPECT_EQ(lc.result.modular.groups, 1u);
+    // Three of the four cores take every verdict of the first.
+    auto alone = compile(proc::quad_core_source(), "cpu");
+    ASSERT_TRUE(alone.ok()) << alone.errors();
+    DiagnosticEngine d_alone;
+    auto core = check::check_design(*alone.design, d_alone);
+    EXPECT_EQ(lc.result.modular.reused, 3 * core.obligations.size());
 }
 
 TEST(Modular, ClearingTransformDropsSpans) {
@@ -306,7 +332,7 @@ TEST(Modular, ClearingTransformDropsSpans) {
     flat_opts.modular = false;
     auto modular = check::check_design(*comp.design(), d_mod);
     auto flat = check::check_design(*comp.design(), d_flat, flat_opts);
-    EXPECT_EQ(modular.modular.module_checks, 0u);
+    EXPECT_EQ(modular.modular.groups, 0u);
     EXPECT_EQ(modular.modular.reused, 0u);
     EXPECT_EQ(modular.modular.solved, modular.obligations.size());
     EXPECT_EQ(modular.ok, flat.ok);
@@ -318,10 +344,11 @@ TEST(Modular, ClearingTransformDropsSpans) {
             << flat.obligations[i].id;
 }
 
-TEST(Modular, DeadlineExpiringInTheModuleCheckTimesOutTheCheck) {
-    // The module check runs first, so a deadline already in the past
-    // expires there. The check reports a timeout, with nothing decided
-    // and no diagnostics, exactly as the flattened reference does.
+TEST(Modular, DeadlineExpiringBeforeTheFirstQueryTimesOutTheCheck) {
+    // A deadline already in the past expires on the first query, before
+    // any verdict can be reused. The check reports a timeout, with
+    // nothing decided and no diagnostics, exactly as the flattened
+    // reference does.
     auto c = compile(proc::quad_core_source());
     ASSERT_TRUE(c.ok()) << c.errors();
     check::CheckOptions opts;
@@ -337,7 +364,7 @@ TEST(Modular, DeadlineExpiringInTheModuleCheckTimesOutTheCheck) {
         EXPECT_EQ(r->failed, 0u);
         EXPECT_TRUE(r->obligations.empty());
     }
-    EXPECT_EQ(modular.modular.module_checks, 1u);
+    EXPECT_EQ(modular.modular.groups, 1u);
     EXPECT_EQ(modular.modular.reused, 0u);
     EXPECT_FALSE(d_mod.has_errors());
     EXPECT_FALSE(d_flat.has_errors());
