@@ -263,10 +263,10 @@ void bm_syntactic_fast_path(benchmark::State& state) {
 }
 BENCHMARK(bm_syntactic_fast_path);
 
-// --- equations and guarded writes on the processors -----------------------
+// --- equations and register writes on the processors ----------------------
 
-/// Every register's next-cycle equation, as the checker builds them for
-/// one labeled core and for the four-core ring.
+/// Every register's next-cycle equation and recorded writes, as the
+/// checker builds them for one labeled core and for the four-core ring.
 void bm_build_equations_cpu_scale(benchmark::State& state,
                                   std::string (*source)()) {
     auto design = compile(source());
@@ -278,24 +278,6 @@ void bm_build_equations_cpu_scale(benchmark::State& state,
 BENCHMARK_CAPTURE(bm_build_equations_cpu_scale, labeled,
                   proc::labeled_cpu_source);
 BENCHMARK_CAPTURE(bm_build_equations_cpu_scale, quad, proc::quad_core_source);
-
-/// The guarded writes the hold-obligation check asks for: one call per
-/// register with a dependent label, on the labeled cpu.
-void bm_guarded_writes_cpu(benchmark::State& state) {
-    auto design = compile(proc::labeled_cpu_source());
-    std::vector<hir::NetId> nets;
-    for (const hir::Net& net : design->nets)
-        if (net.kind == hir::NetKind::Seq && !net.label.is_static())
-            nets.push_back(net.id);
-    for (auto _ : state)
-        for (hir::NetId net : nets) {
-            auto writes = sem::guarded_writes(*design, net);
-            benchmark::DoNotOptimize(writes.size());
-        }
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations() *
-                                                 nets.size()));
-}
-BENCHMARK(bm_guarded_writes_cpu);
 
 } // namespace
 

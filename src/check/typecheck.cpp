@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
+#include <set>
 #include <string_view>
 #include <unordered_map>
 
@@ -389,67 +390,71 @@ void Checker::check_hold_obligations() {
     if (opts_.mode != CheckerMode::SecVerilogLC || !opts_.hold_obligations ||
         result_.timed_out)
         return;
-    std::vector<std::string> names; // filled on the first array register
     for (NetId id = 0; id < design_.nets.size(); ++id) {
         const Net& net = design_.net(id);
         if (net.kind != NetKind::Seq || net.label.is_static())
             continue;
         member_ = net_owner_[id];
-        auto writes = sem::guarded_writes(design_, net.id);
 
-        // Determine the guards under which the register is *fully*
-        // written; the hold obligation covers the complement.
-        std::vector<const Expr*> neg_guards_src;
+        // The guards under which the register is *fully* written; the
+        // hold obligation covers the complement. A part-select write
+        // leaves bits as they were, so it covers nothing.
+        std::vector<ExprPtr> guards;
         bool always_written = false;
         if (net.array_size == 0) {
-            for (const auto& w : writes) {
-                if (!w.guard) {
+            for (const sem::Write& w : eqs_.writes(id)) {
+                if (!w.whole)
+                    continue;
+                if (!w.path) {
                     always_written = true;
                     break;
                 }
-                neg_guards_src.push_back(w.guard.get());
+                guards.push_back(sem::conjoin(w.path));
             }
         } else {
-            // Arrays: group writes by syntactically-identical guard and
-            // count a group as a full write only if its constant indices
-            // cover the whole array.
-            if (names.empty())
-                names = design_.net_names();
-            std::vector<std::string> keys;
-            keys.reserve(writes.size());
-            std::map<std::string, std::vector<uint64_t>> cover;
-            for (const auto& w : writes) {
-                keys.push_back(w.guard ? to_string(*w.guard, names) : "");
-                if (!w.index || w.index->kind != ExprKind::Const)
-                    continue; // dynamic index: cannot prove coverage
-                cover[keys.back()].push_back(w.index->value.value());
-            }
-            for (auto& [key, indices] : cover) {
-                std::sort(indices.begin(), indices.end());
-                indices.erase(std::unique(indices.begin(), indices.end()),
-                              indices.end());
-                if (indices.size() != net.array_size)
+            // Arrays: group whole-element writes by structurally equal
+            // guard, and count a group as a full write only if its
+            // constant indices cover the whole array. The group's first
+            // guard (in write order) represents it.
+            struct Group {
+                ExprPtr guard; // null = unconditional
+                std::set<uint64_t> indices;
+            };
+            std::vector<Group> groups;
+            for (const sem::Write& w : eqs_.writes(id)) {
+                if (!w.whole)
                     continue;
-                if (key.empty()) {
+                ExprPtr g = sem::conjoin(w.path);
+                auto it = std::find_if(
+                    groups.begin(), groups.end(), [&](const Group& gr) {
+                        return g && gr.guard
+                                   ? solver::expr_equal(*g, *gr.guard)
+                                   : g == gr.guard;
+                    });
+                if (it == groups.end())
+                    it = groups.insert(it, {std::move(g), {}});
+                // A dynamic index cannot prove coverage.
+                if (w.index && w.index->kind == ExprKind::Const)
+                    it->indices.insert(w.index->value.value());
+            }
+            for (Group& gr : groups) {
+                if (gr.indices.size() != net.array_size)
+                    continue;
+                if (!gr.guard) {
                     always_written = true;
                     break;
                 }
-                // The group's first guard (in write order) represents it.
-                size_t first = std::find(keys.begin(), keys.end(), key) -
-                               keys.begin();
-                neg_guards_src.push_back(writes[first].guard.get());
+                guards.push_back(std::move(gr.guard));
             }
         }
         if (always_written)
             continue;
 
-        std::vector<ExprPtr> owned;
         std::vector<const Expr*> facts;
-        for (const Expr* g : neg_guards_src) {
-            ExprPtr neg = Expr::make_unary(UnaryOp::LogNot, g->clone(),
-                                           g->loc);
-            facts.push_back(neg.get());
-            owned.push_back(std::move(neg));
+        for (ExprPtr& g : guards) {
+            SourceLoc loc = g->loc;
+            g = Expr::make_unary(UnaryOp::LogNot, std::move(g), loc);
+            facts.push_back(g.get());
         }
         SolverLabel old_label = SolverLabel::from_hir(net.label, design_, false);
         SolverLabel new_label = SolverLabel::from_hir(net.label, design_, true);

@@ -87,7 +87,7 @@ const char* job_status_name(JobStatus s) {
 }
 
 VerificationDriver::VerificationDriver(DriverOptions opts)
-    : opts_(std::move(opts)), cache_(opts_.cache_capacity) {
+    : opts_(std::move(opts)) {
     if (!opts_.store_dir.empty()) {
         incr::StoreOptions sopts;
         sopts.dir = opts_.store_dir;

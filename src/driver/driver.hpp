@@ -86,7 +86,6 @@ struct DriverOptions {
     uint64_t timeout_ms = 0;
     /// Share a memoizing entailment cache across jobs.
     bool use_cache = true;
-    size_t cache_capacity = solver::EntailCache::kDefaultCapacity;
     /// Persistent store directory (incr/store.hpp); empty disables
     /// persistence. When set, unchanged jobs are answered from stored
     /// verdicts.

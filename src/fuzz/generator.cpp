@@ -613,7 +613,9 @@ private:
         // Group 0: the mode register by itself (its next value must not
         // depend on other registers' next values).
         line("  always @(seq) begin");
-        if (biased_ || rng_.chance(80))
+        if (rng_.chance(15)) // bit 0 only: the other bits hold
+            line("    mode[0:0] <= mode_in[0:0];");
+        else if (biased_ || rng_.chance(80))
             line("    mode <= mode_in;");
         else
             line("    mode <= " + expr(nets_[1].width, -1, 1) + ";");
@@ -674,7 +676,7 @@ private:
             return;
         }
         int lev = biased_ ? r.level : -1;
-        switch (rng_.below(3)) {
+        switch (rng_.below(4)) {
         case 0:
             line("    " + r.name + " <= " + rhs(r, lev) + ";");
             break;
@@ -685,6 +687,9 @@ private:
                 line("    else " + r.name + " <= " + rhs(r, lev) + ";");
             break;
         }
+        case 2:
+            emit_part_selects(r, guard_expr(), lev, false);
+            break;
         default: {
             line("    case (" + (biased_ ? std::string("mode")
                                          : expr(2, -1, 1)) + ")");
@@ -705,6 +710,15 @@ private:
             line("    " + r.name + " <= " + rhs(r, -1) + ";");
             return;
         }
+        if (rng_.chance(20)) {
+            // fig3 with part-selects: the low bits are scrubbed every
+            // cycle, the high bits written at one mode value's level.
+            uint64_t v = rng_.below(uint64_t{1} << f.arg_width);
+            emit_part_selects(r,
+                              "next(mode) == " + hex_literal(f.arg_width, v),
+                              biased_ ? func_at(f, v) : -1, true);
+            return;
+        }
         if (rng_.chance(50)) {
             // Scrub whenever the label might move; otherwise the label is
             // provably stable and the register may keep flowing to
@@ -715,16 +729,35 @@ private:
                  expr(r.width, biased_ ? 0 : -1, 1) + ");");
         } else {
             // fig4-style: one branch per mode value, each at that mode's
-            // level.
+            // level. Guards on the current mode are right only while
+            // the mode cannot change.
+            std::string sel = rng_.chance(25) ? "mode" : "next(mode)";
             uint64_t domain = uint64_t{1} << f.arg_width;
             for (uint64_t v = 0; v < domain; ++v) {
                 int lev = func_at(f, v);
                 std::string kw = v == 0 ? "    if" : "    else if";
-                line(kw + " (next(mode) == " +
+                line(kw + " (" + sel + " == " +
                      hex_literal(f.arg_width, v) + ") " + r.name + " <= " +
                      expr(r.width, biased_ ? lev : -1, 2) + ";");
             }
         }
+    }
+
+    /// Part-select writes to a scalar register at level `lev`: its low
+    /// bits unconditionally (zeros when `scrub_low`), its high bits under
+    /// `guard`, so neither writes it whole. A 1-bit register gets one
+    /// full-width [0:0] write instead.
+    void emit_part_selects(const NetInfo& r, const std::string& guard,
+                           int lev, bool scrub_low) {
+        uint32_t split =
+            r.width == 1 ? 1
+                         : 1 + static_cast<uint32_t>(rng_.below(r.width - 1));
+        line("    " + r.name + "[" + std::to_string(split - 1) + ":0] <= " +
+             (scrub_low ? hex_literal(split, 0) : expr(split, lev, 2)) + ";");
+        if (split < r.width)
+            line("    if (" + guard + ") " + r.name + "[" +
+                 std::to_string(r.width - 1) + ":" + std::to_string(split) +
+                 "] <= " + expr(r.width - split, lev, 2) + ";");
     }
 
     std::string rhs(const NetInfo& r, int lev) {

@@ -25,7 +25,7 @@ namespace svlc::incr {
 
 /// Bumped whenever a behaviour change invalidates stored verdicts
 /// (solver semantics, diagnostics rendering, fingerprint layout).
-inline constexpr const char* kToolVersion = "svlc-0.5.0";
+inline constexpr const char* kToolVersion = "svlc-0.6.0";
 
 /// Canonical serialization of the checker configuration (mode, hold
 /// obligations, full enumeration budget). Shared by the fingerprint and

@@ -631,8 +631,7 @@ ExprPtr Elaborator::lower_expr(const ast::Expr& e, Scope& scope, bool in_next) {
         out->width = out->a->width;
         out->dg_label = lower_label(*n.target, scope);
         design_->downgrades.push_back(
-            {n.loc, out->dg_kind,
-             to_string(*out->a, design_->net_names())});
+            {n.loc, out->dg_kind, to_string(*out->a, *design_)});
         return out;
     }
     }

@@ -143,48 +143,47 @@ void Expr::collect_reads(std::vector<NetId>& plain,
 }
 
 namespace {
-void expr_str(std::ostringstream& os, const Expr& e,
-              const std::vector<std::string>& names) {
+void expr_str(std::ostringstream& os, const Expr& e, const Design& d) {
     switch (e.kind) {
     case ExprKind::Const:
         os << e.value.str();
         break;
     case ExprKind::NetRef:
-        os << (e.net < names.size() ? names[e.net] : "?net");
+        os << (e.net < d.nets.size() ? d.nets[e.net].name : "?net");
         if (e.primed)
             os << "'";
         break;
     case ExprKind::ArrayRead:
-        os << (e.net < names.size() ? names[e.net] : "?net");
+        os << (e.net < d.nets.size() ? d.nets[e.net].name : "?net");
         if (e.primed)
             os << "'";
         os << "[";
-        expr_str(os, *e.index, names);
+        expr_str(os, *e.index, d);
         os << "]";
         break;
     case ExprKind::Slice:
-        expr_str(os, *e.a, names);
+        expr_str(os, *e.a, d);
         os << "[" << e.msb << ":" << e.lsb << "]";
         break;
     case ExprKind::Unary:
         os << ast::unary_op_text(e.un_op) << "(";
-        expr_str(os, *e.a, names);
+        expr_str(os, *e.a, d);
         os << ")";
         break;
     case ExprKind::Binary:
         os << "(";
-        expr_str(os, *e.a, names);
+        expr_str(os, *e.a, d);
         os << " " << ast::binary_op_text(e.bin_op) << " ";
-        expr_str(os, *e.b, names);
+        expr_str(os, *e.b, d);
         os << ")";
         break;
     case ExprKind::Cond:
         os << "(";
-        expr_str(os, *e.a, names);
+        expr_str(os, *e.a, d);
         os << " ? ";
-        expr_str(os, *e.b, names);
+        expr_str(os, *e.b, d);
         os << " : ";
-        expr_str(os, *e.c, names);
+        expr_str(os, *e.c, d);
         os << ")";
         break;
     case ExprKind::Concat:
@@ -192,23 +191,23 @@ void expr_str(std::ostringstream& os, const Expr& e,
         for (size_t i = 0; i < e.parts.size(); ++i) {
             if (i)
                 os << ", ";
-            expr_str(os, *e.parts[i], names);
+            expr_str(os, *e.parts[i], d);
         }
         os << "}";
         break;
     case ExprKind::Downgrade:
         os << (e.dg_kind == DowngradeKind::Endorse ? "endorse("
                                                    : "declassify(");
-        expr_str(os, *e.a, names);
+        expr_str(os, *e.a, d);
         os << ")";
         break;
     }
 }
 } // namespace
 
-std::string to_string(const Expr& e, const std::vector<std::string>& names) {
+std::string to_string(const Expr& e, const Design& design) {
     std::ostringstream os;
-    expr_str(os, e, names);
+    expr_str(os, e, design);
     return os.str();
 }
 
@@ -247,13 +246,6 @@ StmtPtr Stmt::clone() const {
 NetId Design::find_net(std::string_view name) const {
     auto it = net_by_name.find(std::string(name));
     return it != net_by_name.end() ? it->second : kInvalidNet;
-}
-
-std::vector<std::string> Design::net_names() const {
-    std::vector<std::string> names(nets.size());
-    for (const auto& n : nets)
-        names[n.id] = n.name;
-    return names;
 }
 
 } // namespace svlc::hir

@@ -129,9 +129,11 @@ struct Expr {
                        std::vector<NetId>& primed_reads) const;
 };
 
-/// Structural pretty-print (for diagnostics and tests).
-std::string to_string(const Expr& e,
-                      const std::vector<std::string>& net_names);
+struct Design;
+
+/// Structural pretty-print (for diagnostics and tests), naming nets as
+/// the design does.
+std::string to_string(const Expr& e, const Design& design);
 
 // ---------------------------------------------------------------------------
 // Statements
@@ -247,7 +249,6 @@ struct Design {
     [[nodiscard]] const Net& net(NetId id) const { return nets[id]; }
     [[nodiscard]] Net& net(NetId id) { return nets[id]; }
     [[nodiscard]] NetId find_net(std::string_view name) const;
-    [[nodiscard]] std::vector<std::string> net_names() const;
 };
 
 } // namespace svlc::hir

@@ -1,6 +1,7 @@
 #include "sem/updates.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <set>
 #include <unordered_map>
 
@@ -8,15 +9,45 @@ namespace svlc::sem {
 
 using namespace hir;
 
+ExprPtr conjoin(const PathCond* path) {
+    if (!path)
+        return nullptr;
+    ExprPtr out = conjoin(path->outer);
+    const Expr& cond = *path->cond;
+    ExprPtr g = path->negated ? Expr::make_unary(UnaryOp::LogNot,
+                                                 cond.clone(), cond.loc)
+                              : cond.clone();
+    if (!out)
+        return g;
+    SourceLoc loc = out->loc.valid() ? out->loc : g->loc;
+    return Expr::make_binary(BinaryOp::LogAnd, std::move(out), std::move(g),
+                             loc);
+}
+
 namespace {
 
-/// Walks a process body in program order, calling assign() at every
-/// assignment. The path condition is kept as a stack of borrowed if-conds,
-/// each as written or negated (else branch), and copied only when
-/// guard() is asked for it, so the cost is linear in the guards built
-/// however deep an else-if chain runs.
-class GuardedWalk {
+/// Symbolic executor for one process. Walks the body in program order
+/// and maintains env: net -> current symbolic value (relative to process
+/// entry). Reads of nets the process itself writes are substituted in
+/// combinational processes (blocking semantics); in sequential processes
+/// reads always see pre-tick values, so no substitution happens, and each
+/// write is recorded. The path condition is a chain of borrowed if-conds,
+/// one entry per branch, and is materialized only for an equation, so the
+/// cost is linear in the guards built however deep an else-if chain runs.
+class SymbolicExec {
 public:
+    SymbolicExec(const Design& design, const Process& proc, Equations& eq)
+        : design_(design), proc_(proc), eq_(eq),
+          seq_(proc.kind == ProcessKind::Seq),
+          self_writes_(proc.writes.begin(), proc.writes.end()) {}
+
+    void run() {
+        walk(*proc_.body);
+        for (auto& [net, expr] : env_)
+            eq_.defs[net] = std::move(expr);
+    }
+
+private:
     void walk(const Stmt& s) {
         switch (s.kind) {
         case StmtKind::Block:
@@ -24,13 +55,23 @@ public:
                 walk(*st);
             break;
         case StmtKind::If: {
-            ExprPtr rewritten = rewrite(*s.cond);
-            conds_.push_back({rewritten ? rewritten.get() : s.cond.get()});
+            // A comb cond stands for its substituted copy, and its path
+            // entry lives in this frame; both last until both branches are
+            // walked. A seq entry is kept for the recorded writes.
+            ExprPtr rewritten = seq_ ? nullptr : subst(*s.cond);
+            PathCond branch{rewritten ? rewritten.get() : s.cond.get(), false,
+                            path_};
+            auto enter = [&] {
+                path_ = seq_ ? &eq_.paths.emplace_back(branch) : &branch;
+            };
+            enter();
             walk(*s.then_stmt);
-            conds_.back().negated = true;
-            if (s.else_stmt)
+            if (s.else_stmt) {
+                branch.negated = true;
+                enter();
                 walk(*s.else_stmt);
-            conds_.pop_back();
+            }
+            path_ = branch.outer;
             break;
         }
         case StmtKind::Assign:
@@ -41,64 +82,9 @@ public:
         }
     }
 
-protected:
-    virtual void assign(const Stmt& s) = 0;
-    /// What an if-cond stands for, if not the cond as written; the result
-    /// lives until both branches are walked.
-    virtual ExprPtr rewrite(const Expr& /*cond*/) { return nullptr; }
-
-    /// The left-folded conjunction ((g1 && g2) && ...) && gn of the path
-    /// condition, or null (= true) outside any if. A negation keeps its
-    /// cond's loc and each LogAnd its left operand's (else the right's),
-    /// so facts built from guards stay resolvable in diagnostics.
-    [[nodiscard]] ExprPtr guard() const {
-        ExprPtr out;
-        for (const auto& [cond, negated] : conds_) {
-            ExprPtr g = negated ? Expr::make_unary(UnaryOp::LogNot,
-                                                   cond->clone(), cond->loc)
-                                : cond->clone();
-            if (out) {
-                SourceLoc loc = out->loc.valid() ? out->loc : g->loc;
-                g = Expr::make_binary(BinaryOp::LogAnd, std::move(out),
-                                      std::move(g), loc);
-            }
-            out = std::move(g);
-        }
-        return out;
-    }
-
-private:
-    struct Cond {
-        const Expr* expr;
-        bool negated = false;
-    };
-    std::vector<Cond> conds_;
-};
-
-/// Symbolic executor for one process. Maintains env: net -> current
-/// symbolic value (relative to process entry). Reads of nets the process
-/// itself writes are substituted in combinational processes (blocking
-/// semantics); in sequential processes reads always see pre-tick values,
-/// so no substitution happens.
-class SymbolicExec : public GuardedWalk {
-public:
-    SymbolicExec(const Design& design, const Process& proc)
-        : design_(design), proc_(proc),
-          self_writes_(proc.writes.begin(), proc.writes.end()) {}
-
-    std::unordered_map<NetId, ExprPtr> run() {
-        walk(*proc_.body);
-        return std::move(env_);
-    }
-
-private:
-    ExprPtr rewrite(const Expr& cond) override {
-        return proc_.kind == ProcessKind::Seq ? nullptr : subst(cond);
-    }
-
     ExprPtr subst(const Expr& e) {
         ExprPtr out = e.clone();
-        if (proc_.kind == ProcessKind::Comb) // seq reads see old values
+        if (!seq_) // seq reads see old values
             substitute_reads(out);
         return out;
     }
@@ -123,9 +109,14 @@ private:
             substitute_reads(p);
     }
 
-    void assign(const Stmt& s) override {
+    void assign(const Stmt& s) {
         NetId net = s.lhs.net;
         const Net& n = design_.net(net);
+        if (seq_)
+            eq_.seq_writes.push_back(
+                {net, path_, s.lhs.index.get(), s.rhs.get(), s.loc,
+                 !s.lhs.has_range ||
+                     (s.lhs.lsb == 0 && s.lhs.msb + 1 == n.width)});
         if (n.array_size != 0 || s.lhs.index || s.lhs.has_range) {
             // Array-element and part-select targets do not produce
             // whole-net equations; mark the net as equation-less.
@@ -136,7 +127,7 @@ private:
         if (partial_.count(net))
             return;
         ExprPtr rhs = subst(*s.rhs);
-        ExprPtr g = guard();
+        ExprPtr g = conjoin(path_);
         ExprPtr& slot = env_[net];
         if (!g) {
             slot = std::move(rhs);
@@ -144,37 +135,20 @@ private:
         }
         ExprPtr prev = std::move(slot);
         if (!prev)
-            prev = proc_.kind == ProcessKind::Seq
-                       ? Expr::make_net(net, n.width, false, s.loc) // hold
-                       : Expr::make_const(BitVec(n.width, 0), s.loc);
+            prev = seq_ ? Expr::make_net(net, n.width, false, s.loc) // hold
+                        : Expr::make_const(BitVec(n.width, 0), s.loc);
         slot = Expr::make_cond(std::move(g), std::move(rhs), std::move(prev),
                                s.loc);
     }
 
     const Design& design_;
     const Process& proc_;
+    Equations& eq_;
+    bool seq_;
     std::set<NetId> self_writes_;
+    const PathCond* path_ = nullptr;
     std::unordered_map<NetId, ExprPtr> env_;
     std::set<NetId> partial_;
-};
-
-/// Collects the guarded writes of one net, guards as written.
-class WriteCollector : public GuardedWalk {
-public:
-    WriteCollector(NetId target, std::vector<GuardedWrite>& out)
-        : target_(target), out_(out) {}
-
-private:
-    void assign(const Stmt& s) override {
-        if (s.lhs.net != target_)
-            return;
-        out_.push_back({guard(),
-                        s.lhs.index ? s.lhs.index->clone() : nullptr,
-                        s.rhs.get(), s.node_id, s.loc});
-    }
-
-    NetId target_;
-    std::vector<GuardedWrite>& out_;
 };
 
 } // namespace
@@ -188,18 +162,19 @@ Equations build_equations(const Design& design) {
     for (const Process& proc : design.processes) {
         for (NetId n : proc.writes)
             eq.free[n] = false;
-        for (auto& [net, expr] : SymbolicExec(design, proc).run())
-            eq.defs[net] = std::move(expr);
+        SymbolicExec(design, proc, eq).run();
     }
+    // Group the writes by net; the sort is stable, so each net's writes
+    // stay in program order.
+    std::stable_sort(
+        eq.seq_writes.begin(), eq.seq_writes.end(),
+        [](const Write& a, const Write& b) { return a.net < b.net; });
+    eq.first_write.assign(design.nets.size() + 1, 0);
+    for (const Write& w : eq.seq_writes)
+        ++eq.first_write[w.net + 1];
+    std::partial_sum(eq.first_write.begin(), eq.first_write.end(),
+                     eq.first_write.begin());
     return eq;
-}
-
-std::vector<GuardedWrite> guarded_writes(const Design& design, NetId net) {
-    std::vector<GuardedWrite> out;
-    for (const Process& proc : design.processes)
-        if (std::count(proc.writes.begin(), proc.writes.end(), net))
-            WriteCollector(net, out).walk(*proc.body);
-    return out;
 }
 
 } // namespace svlc::sem

@@ -124,7 +124,7 @@ struct Server::Session {
 };
 
 Server::Server(ServeOptions opts)
-    : opts_(std::move(opts)), cache_(opts_.cache_capacity) {}
+    : opts_(std::move(opts)) {}
 
 Server::~Server() {
     if (g_wake_fd == wake_pipe_[1])

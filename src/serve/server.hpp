@@ -51,7 +51,6 @@ struct ServeOptions {
     /// Default per-verify deadline in ms (requests may override); 0 =
     /// unlimited.
     uint64_t default_timeout_ms = 0;
-    size_t cache_capacity = solver::EntailCache::kDefaultCapacity;
     /// Checker configuration baseline; per-request options overlay it.
     check::CheckOptions default_check;
     /// SIGINT/SIGTERM trigger a graceful shutdown.

@@ -155,11 +155,12 @@ const EntailmentEngine::Equation* EntailmentEngine::equation_fact(Var v) {
     Equation equation;
     if (eqs_.is_free(v.first)) {
         // Driven by the environment: no equation in either cycle.
-    } else if (v.second && opts_.use_primed_equations) {
-        // Primed: r' == def(r), or r' == r when undriven. Synthesized
-        // nodes inherit the defining expression's loc (falling back to the
-        // net declaration) so every downstream diagnostic stays
-        // file-resolvable.
+    } else if (v.second && opts_.use_primed_equations &&
+               eqs_.has_next_equation(v.first)) {
+        // Primed: r' == def(r), or r' == r when no process writes r.
+        // Synthesized nodes inherit the defining expression's loc (falling
+        // back to the net declaration) so every downstream diagnostic
+        // stays file-resolvable.
         const Expr* def = eqs_.def(v.first);
         SourceLoc loc = def ? def->loc : net.loc;
         ExprPtr rhs_expr = def
@@ -382,7 +383,8 @@ EntailResult EntailmentEngine::check_flow(
             if (eqs_.is_free(v.first))
                 return false;
             if (v.second)
-                return opts_.use_primed_equations;
+                return opts_.use_primed_equations &&
+                       eqs_.has_next_equation(v.first);
             return design_.net(v.first).kind == NetKind::Com &&
                    eqs_.def(v.first) != nullptr;
         };

@@ -228,18 +228,18 @@ SynthReport Mapper::run() {
                 }
             }
             // Write-port network: element-select muxing per write site.
-            for (const auto& gw : sem::guarded_writes(design_, net.id)) {
+            for (const sem::Write& w : eqs_.writes(net.id)) {
                 double t = 0;
-                if (gw.guard)
-                    t = std::max(t, map_expr(*gw.guard));
-                if (gw.index) {
-                    t = std::max(t, map_expr(*gw.index));
+                if (ExprPtr guard = sem::conjoin(w.path))
+                    t = std::max(t, map_expr(*guard));
+                if (w.index) {
+                    t = std::max(t, map_expr(*w.index));
                     // Address decode: one AND per element (inside the
                     // macro for SRAMs).
                     if (!is_sram)
                         report_.cells.add(Cell::And2, net.array_size);
                 }
-                t = std::max(t, map_expr(*gw.rhs));
+                t = std::max(t, map_expr(*w.rhs));
                 critical = std::max(critical, t + timing_.setup_ns);
             }
             continue;

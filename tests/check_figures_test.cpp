@@ -376,5 +376,23 @@ TEST(HoldObligationArray, DynamicIndexNeverCountsAsCoverage) {
     }
 }
 
+TEST(HoldObligationArray, PartSelectOfAnElementNeverCountsAsCoverage) {
+    Compiled c;
+    auto result = check_source(
+        hold_array_source("    mem[0] <= 8'h0;\n    mem[1][3:0] <= 4'h0;"), c);
+    EXPECT_FALSE(result.ok);
+    auto holds = mem_holds(c, result);
+    ASSERT_EQ(holds.size(), 1u);
+    EXPECT_FALSE(holds[0]->result.proven());
+
+    // A part-select spanning the whole element writes all of it.
+    Compiled full;
+    result = check_source(
+        hold_array_source("    mem[0] <= 8'h0;\n    mem[1][7:0] <= 8'h0;"),
+        full);
+    EXPECT_TRUE(result.ok) << full.errors();
+    EXPECT_TRUE(mem_holds(full, result).empty());
+}
+
 } // namespace
 } // namespace svlc::test

@@ -51,6 +51,10 @@ const GoldenCase kCases[] = {
     {"fig4_mode_switch.json", "hdl/fig4_mode_switch.svlc", nullptr},
     {"shared_counter.json", "hdl/shared_counter.svlc", nullptr},
     {"input_seq_port.json", "fixtures/modular/input_seq_port.svlc", nullptr},
+    {"part_select_hold.json", "fixtures/partial_writes/part_select_hold.svlc",
+     nullptr},
+    {"part_select_label.json",
+     "fixtures/partial_writes/part_select_label.svlc", nullptr},
 };
 
 void PrintTo(const GoldenCase& gc, std::ostream* os) { *os << gc.fixture; }

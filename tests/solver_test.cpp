@@ -466,7 +466,7 @@ endmodule
 )");
     ASSERT_TRUE(c.ok()) << c.errors();
     hir::NetId r = c.design->find_net("r");
-    auto names = c.design->net_names();
+    const hir::Design& d = *c.design;
 
     // The if statements of the chain, outermost first.
     std::vector<const hir::Stmt*> ifs;
@@ -487,7 +487,7 @@ endmodule
     // ((!c1 && !c2) && c3): negations keep their cond's loc; each LogAnd
     // takes its left operand's loc.
     auto check_deepest = [&](const Expr& g) {
-        ASSERT_EQ(to_string(g, names), "((!(c1) && !(c2)) && c3)");
+        ASSERT_EQ(to_string(g, d), "((!(c1) && !(c2)) && c3)");
         EXPECT_EQ(g.loc, l1);
         EXPECT_EQ(g.a->loc, l1);
         EXPECT_EQ(g.a->a->loc, l1);
@@ -502,21 +502,24 @@ endmodule
     ASSERT_NE(def, nullptr);
     ASSERT_EQ(def->kind, hir::ExprKind::Cond);
     check_deepest(*def->a);
-    EXPECT_EQ(to_string(*def, names),
+    EXPECT_EQ(to_string(*def, d),
               "(((!(c1) && !(c2)) && c3) ? d : ((!(c1) && c2) ? 8'h2 : "
               "(c1 ? 8'h1 : r)))");
 
-    auto writes = sem::guarded_writes(*c.design, r);
+    auto writes = eqs.writes(r);
     ASSERT_EQ(writes.size(), 3u);
-    ASSERT_TRUE(writes[0].guard && writes[1].guard && writes[2].guard);
-    EXPECT_EQ(to_string(*writes[0].guard, names), "c1");
-    EXPECT_EQ(to_string(*writes[1].guard, names), "(!(c1) && c2)");
-    check_deepest(*writes[2].guard);
-    // In a seq process both walkers build the same guards, node for node.
+    std::vector<ExprPtr> guards;
+    for (const sem::Write& w : writes)
+        guards.push_back(sem::conjoin(w.path));
+    ASSERT_TRUE(guards[0] && guards[1] && guards[2]);
+    EXPECT_EQ(to_string(*guards[0], d), "c1");
+    EXPECT_EQ(to_string(*guards[1], d), "(!(c1) && c2)");
+    check_deepest(*guards[2]);
+    // The recorded paths conjoin to the equation's guards, node for node.
     const Expr* level = def;
     for (size_t i = writes.size(); i-- > 0; level = level->c.get()) {
         ASSERT_EQ(level->kind, hir::ExprKind::Cond);
-        expect_same_tree(*writes[i].guard, *level->a);
+        expect_same_tree(*guards[i], *level->a);
     }
 }
 
@@ -539,27 +542,23 @@ module m(input com [7:0] {T} a);
 endmodule
 )");
     ASSERT_TRUE(c.ok()) << c.errors();
-    auto names = c.design->net_names();
+    const hir::Design& d = *c.design;
     auto eqs = sem::build_equations(*c.design);
     // Comb: the guard sees the freshly written x, i.e. a.
     const Expr* y = eqs.def(c.design->find_net("y"));
     ASSERT_NE(y, nullptr);
-    EXPECT_EQ(to_string(*y, names), "((a == 8'h0) ? 8'h1 : 8'h2)");
+    EXPECT_EQ(to_string(*y, d), "((a == 8'h0) ? 8'h1 : 8'h2)");
     // Seq: reads see pre-tick values, so the guard keeps r.
     const Expr* s = eqs.def(c.design->find_net("s"));
     ASSERT_NE(s, nullptr);
-    EXPECT_EQ(to_string(*s, names), "((r == 8'h0) ? 8'h1 : s)");
-    // guarded_writes reports the guards as written in the source.
-    auto yw = sem::guarded_writes(*c.design, c.design->find_net("y"));
-    ASSERT_EQ(yw.size(), 2u);
-    EXPECT_EQ(yw[0].guard, nullptr);
-    ASSERT_NE(yw[1].guard, nullptr);
-    EXPECT_EQ(to_string(*yw[1].guard, names), "(x == 8'h0)");
-    auto sw = sem::guarded_writes(*c.design, c.design->find_net("s"));
+    EXPECT_EQ(to_string(*s, d), "((r == 8'h0) ? 8'h1 : s)");
+    // The recorded write keeps the guard as written in the source.
+    auto sw = eqs.writes(c.design->find_net("s"));
     ASSERT_EQ(sw.size(), 1u);
-    ASSERT_NE(sw[0].guard, nullptr);
+    ExprPtr guard = sem::conjoin(sw[0].path);
+    ASSERT_NE(guard, nullptr);
     ASSERT_EQ(s->kind, hir::ExprKind::Cond);
-    expect_same_tree(*sw[0].guard, *s->a);
+    expect_same_tree(*guard, *s->a);
 }
 
 TEST(Equations, PreviousValueChainsAcrossGuardedWrites) {
@@ -584,21 +583,23 @@ module m(input com {T} a, input com {T} b, input com {T} e);
 endmodule
 )");
     ASSERT_TRUE(c.ok()) << c.errors();
-    auto names = c.design->net_names();
+    const hir::Design& d = *c.design;
     auto eqs = sem::build_equations(*c.design);
     hir::NetId r = c.design->find_net("r");
     const Expr* rd = eqs.def(r);
     ASSERT_NE(rd, nullptr);
-    EXPECT_EQ(to_string(*rd, names),
+    EXPECT_EQ(to_string(*rd, d),
               "((e && a) ? 8'h4 : (e ? 8'h3 : (b ? 8'h2 : (a ? 8'h1 : r))))");
     // Each Cond carries its assignment's loc; the innermost hold reads r.
-    auto writes = sem::guarded_writes(*c.design, r);
+    auto writes = eqs.writes(r);
     ASSERT_EQ(writes.size(), 4u);
     const Expr* level = rd;
     for (size_t i = writes.size(); i-- > 0;) {
         ASSERT_EQ(level->kind, hir::ExprKind::Cond);
         EXPECT_EQ(level->loc, writes[i].loc);
-        expect_same_tree(*level->a, *writes[i].guard);
+        ExprPtr guard = sem::conjoin(writes[i].path);
+        ASSERT_NE(guard, nullptr);
+        expect_same_tree(*level->a, *guard);
         level = level->c.get();
     }
     EXPECT_EQ(level->kind, hir::ExprKind::NetRef);
@@ -609,7 +610,7 @@ endmodule
     // Comb: a later read inlines the chain built so far.
     const Expr* wd = eqs.def(c.design->find_net("w"));
     ASSERT_NE(wd, nullptr);
-    EXPECT_EQ(to_string(*wd, names),
+    EXPECT_EQ(to_string(*wd, d),
               "(b ? 8'h5 : ((a ? 8'h1 : 8'h0) + 8'h1))");
 }
 

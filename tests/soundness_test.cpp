@@ -7,6 +7,8 @@
 // The generator also tracks the accept rate so the sweep provably
 // exercises both verdicts (a generator whose designs all fail would test
 // nothing).
+#include "hunt/hunter.hpp"
+#include "support/fsutil.hpp"
 #include "test_util.hpp"
 #include "verify/noninterference.hpp"
 
@@ -156,6 +158,52 @@ endmodule
         auto result = check_source(policy_header() + body, c);
         EXPECT_TRUE(result.ok) << c.errors() << "\n" << body;
     }
+}
+
+/// Checks a fixture under tests/fixtures/partial_writes/: the checker
+/// must reject it with exactly one failed obligation of `kind`, whose
+/// counterexample is `detail`, and the hunter must replay the leak.
+void expect_rejected_and_leaking(const char* name, check::ObligationKind kind,
+                                 const char* detail) {
+    std::string source;
+    ASSERT_TRUE(read_file(std::string(SVLC_FIXTURE_DIR "/partial_writes/") +
+                              name,
+                          source));
+    Compiled c;
+    check::CheckResult r = check_source(source, c);
+    EXPECT_FALSE(r.ok);
+    ASSERT_EQ(r.failed, 1u);
+    for (const auto& ob : r.obligations) {
+        if (ob.result.proven())
+            continue;
+        EXPECT_EQ(ob.kind, kind) << ob.id;
+        EXPECT_EQ(ob.target, c.design->find_net("shared")) << ob.id;
+        EXPECT_EQ(ob.result.status, solver::EntailStatus::Refuted);
+        EXPECT_EQ(ob.result.detail, detail);
+    }
+
+    hunt::HuntResult h = hunt::hunt(*c.design, hunt::HuntOptions{});
+    ASSERT_EQ(h.verdict, hunt::HuntVerdict::Leak);
+    EXPECT_TRUE(h.replay.confirmed);
+    EXPECT_EQ(h.replay.cycle, 1u);
+    EXPECT_EQ(c.design->net(h.replay.net).name, "shared");
+    EXPECT_EQ(h.unconfirmed_candidates, 0u);
+}
+
+TEST(PartialWrites, PartSelectsDoNotCountAsFullWritesForTheHoldRule) {
+    // `shared` is written in full on no path: its low nibble always, its
+    // high nibble only when v' = 1. The hold obligation keeps no guard.
+    expect_rejected_and_leaking("part_select_hold.svlc",
+                                check::ObligationKind::Hold,
+                                "v=1 v'=0 in_v=0 gives U \xe2\x8b\xa2 T");
+}
+
+TEST(PartialWrites, RegisterWithOnlyPartSelectWritesHasNoHoldEquation) {
+    // m is written through m[0:0] only, so m' is not m: moving from 1 to
+    // 0 relabels the untrusted value written under m = 1 as T.
+    expect_rejected_and_leaking("part_select_label.svlc",
+                                check::ObligationKind::SeqAssign,
+                                "m'=0 m=1 gives U \xe2\x8b\xa2 T");
 }
 
 } // namespace
