@@ -1,8 +1,8 @@
 // `svlc hunt` benchmark: the bounded symbolic leak search over the
 // built-in scenario corpus (mode-gated rings, secret-holding caches, the
 // evaluation processors) plus the paper's Figure 3. For every planted
-// bug the hunter must return a replay-confirmed trace; every clean twin
-// must earn its bounded certificate; and no scenario may produce an
+// bug the hunter must return a replay-confirmed trace; on every clean
+// twin it must find no leak; and no scenario may produce an
 // unconfirmed candidate (the taint domain is a refinement of the
 // tracker's). Emits BENCH_hunt.json for dashboard ingestion.
 #include "bench_util.hpp"
@@ -137,7 +137,7 @@ void print_table() {
             " verdict mismatch(es), " + std::to_string(unconfirmed) +
             " unconfirmed candidate(s)");
     std::printf("-> every planted bug yields a replay-confirmed trace, "
-                "every clean twin a\n   bounded certificate, and zero "
+                "on every clean\n   twin no leak is found, and zero "
                 "candidates failed replay confirmation\n");
 }
 

@@ -265,14 +265,16 @@ BENCHMARK(bm_syntactic_fast_path);
 
 // --- equations and register writes on the processors ----------------------
 
-/// Every register's next-cycle equation and recorded writes, as the
-/// checker builds them for one labeled core and for the four-core ring.
+/// Every net's defining equation and every recorded write, for one
+/// labeled core and for the four-core ring. The equations are built on
+/// demand, so this asks for each one to time the full build.
 void bm_build_equations_cpu_scale(benchmark::State& state,
                                   std::string (*source)()) {
     auto design = compile(source());
     for (auto _ : state) {
         auto eqs = sem::build_equations(*design);
-        benchmark::DoNotOptimize(eqs.defs.size());
+        for (const hir::Net& net : design->nets)
+            benchmark::DoNotOptimize(eqs.def(net.id));
     }
 }
 BENCHMARK_CAPTURE(bm_build_equations_cpu_scale, labeled,

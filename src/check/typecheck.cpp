@@ -477,6 +477,7 @@ CheckResult Checker::run() {
         result_.failed == 0 && !diags_.has_errors() && !result_.timed_out;
     result_.downgrade_count = design_.downgrades.size();
     result_.solver_stats = engine_.stats();
+    result_.equations = {eqs_.processes_built(), eqs_.process_count()};
     return std::move(result_);
 }
 

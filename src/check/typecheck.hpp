@@ -5,7 +5,9 @@
 //   T-ASGNSEQ:  C(•η) ⇒ τ ⊔ pc ⊑ Γ(r){r⃗'/r⃗}
 // where C contains the path guards (with `next` reads lowered to primed
 // symbols) plus the statically-derived next-value equations, and pc is
-// the join of guard labels (implicit flows).
+// the join of guard labels (implicit flows). The equations are built on
+// demand, so the check pays only for the equations its queries and its
+// instance grouping read (EquationStats).
 //
 // In addition the checker emits *hold obligations* for every register
 // with a dependent label: when the register is not written, its value is
@@ -76,6 +78,16 @@ struct ModularStats {
     uint64_t solved = 0;
 };
 
+/// How much of the design's defining equations one check built. They
+/// are built on demand (sem/updates.hpp), so a process whose equations no
+/// query read costs nothing.
+struct EquationStats {
+    /// Processes whose equations were built.
+    uint64_t built = 0;
+    /// Processes in the design.
+    uint64_t processes = 0;
+};
+
 enum class ObligationKind { CombAssign, SeqAssign, Hold };
 
 /// Short stable name ("com" / "seq" / "hold"), used in obligation ids and
@@ -106,6 +118,7 @@ struct CheckResult {
     size_t downgrade_count = 0;
     solver::EntailmentEngine::Stats solver_stats;
     ModularStats modular;
+    EquationStats equations;
     /// The solver's deadline (CheckOptions::solver.deadline) expired;
     /// remaining obligations were skipped and `ok` is false. The batch
     /// driver reports such a job as timed out rather than rejected.

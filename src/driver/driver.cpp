@@ -82,6 +82,7 @@ const char* job_status_name(JobStatus s) {
     case JobStatus::Rejected: return "rejected";
     case JobStatus::Error: return "error";
     case JobStatus::Timeout: return "timeout";
+    case JobStatus::NoLeakFound: return "no-leak-found";
     }
     return "unknown";
 }
@@ -148,6 +149,7 @@ JobResult verify_text(pipeline::Compilation& comp, const JobSpec& spec,
                 ob, *comp.design(), &comp.sources()));
     res.solver = cres.solver_stats;
     res.modular = cres.modular;
+    res.equations = cres.equations;
     res.diagnostics = comp.render_diagnostics();
     if (cres.timed_out)
         return finish(JobStatus::Timeout);
@@ -178,12 +180,19 @@ JobResult hunt_text(const JobSpec& spec, const std::string& text) {
     hopts.depth = spec.hunt_depth;
     hunt::HuntResult hr = hunt::hunt(*comp.design(), hopts);
     res.diagnostics = hunt::render_hunt(*comp.design(), hr);
-    // A confirmed leak trace is the hunt analogue of a flow violation; a
-    // bounded certificate (or a secret-free design) the analogue of a
-    // clean check. Hunt never times out — the depth bound is the budget.
-    return finish(hr.verdict == hunt::HuntVerdict::Leak
-                      ? JobStatus::Rejected
-                      : JobStatus::Secure);
+    // A confirmed leak trace is the hunt analogue of a flow violation,
+    // and only a secret-free design the analogue of a clean check: a
+    // beam-search miss proves nothing. Hunt never times out — the depth
+    // bound is the budget.
+    switch (hr.verdict) {
+    case hunt::HuntVerdict::Leak:
+        return finish(JobStatus::Rejected);
+    case hunt::HuntVerdict::NoLeakFound:
+        return finish(JobStatus::NoLeakFound);
+    case hunt::HuntVerdict::NoSecrets:
+        break;
+    }
+    return finish(JobStatus::Secure);
 }
 
 JobResult VerificationDriver::run_job_once(const JobSpec& spec,

@@ -52,6 +52,9 @@ enum class JobStatus {
     Rejected, ///< flow violations (or structural errors) reported
     Error,    ///< could not run: unreadable file, exception (after retry)
     Timeout,  ///< gave up at the per-job deadline
+    /// A hunt job's beam search found no leak within its depth. Not a
+    /// proof: the search tries some inputs, not all.
+    NoLeakFound,
 };
 
 const char* job_status_name(JobStatus s);
@@ -73,6 +76,7 @@ struct JobResult {
     std::vector<pipeline::ObligationRecord> flagged;
     solver::EntailmentEngine::Stats solver;
     check::ModularStats modular;
+    check::EquationStats equations;
     /// Rendered diagnostics (with source snippets), empty when clean.
     std::string diagnostics;
     double wall_ms = 0.0;
@@ -151,9 +155,9 @@ JobResult verify_text(pipeline::Compilation& comp, const JobSpec& spec,
 
 /// The hunt-job counterpart of verify_text: elaborates `text` and runs
 /// the bounded symbolic leak hunter to spec.hunt_depth. A confirmed leak
-/// trace maps to Rejected, a bounded no-leak certificate (or a
-/// no-secrets design) to Secure; the rendered hunt report travels in
-/// JobResult::diagnostics.
+/// trace maps to Rejected, a search that found none to NoLeakFound, and
+/// only a no-secrets certificate to Secure; the rendered hunt report
+/// travels in JobResult::diagnostics.
 JobResult hunt_text(const JobSpec& spec, const std::string& text);
 
 class VerificationDriver {

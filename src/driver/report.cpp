@@ -131,6 +131,10 @@ std::string BatchReport::to_json(bool full) const {
             put_solver_stats(w, r.solver);
             w.key("modular");
             put_modular_stats(w, r.modular);
+            w.key("equations").begin_object();
+            w.kv("built", r.equations.built);
+            w.kv("processes", r.equations.processes);
+            w.end_object();
             w.kv("wall_ms", r.wall_ms, 3);
             w.kv("cpu_ms", r.cpu_ms, 3);
         }
@@ -144,6 +148,7 @@ std::string BatchReport::to_json(bool full) const {
     w.kv("rejected", count(JobStatus::Rejected));
     w.kv("error", count(JobStatus::Error));
     w.kv("timeout", count(JobStatus::Timeout));
+    w.kv("no_leak_found", count(JobStatus::NoLeakFound));
     if (full) {
         w.kv("skipped", skipped_count());
         w.key("solver");
@@ -193,10 +198,10 @@ std::string BatchReport::summary() const {
     auto totals = solver_totals();
     std::snprintf(buf, sizeof buf,
                   "batch: %zu job(s) — %zu secure, %zu rejected, %zu "
-                  "error, %zu timeout\n",
+                  "error, %zu timeout, %zu no leak found\n",
                   results.size(), count(JobStatus::Secure),
                   count(JobStatus::Rejected), count(JobStatus::Error),
-                  count(JobStatus::Timeout));
+                  count(JobStatus::Timeout), count(JobStatus::NoLeakFound));
     out += buf;
     // Only worker-count-invariant counters here; cached/enumerated splits
     // race under concurrency and are reported via stderr and full JSON.

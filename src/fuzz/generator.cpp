@@ -730,7 +730,10 @@ private:
         } else {
             // fig4-style: one branch per mode value, each at that mode's
             // level. Guards on the current mode are right only while
-            // the mode cannot change.
+            // the mode cannot change. A biased branch reads an operand at
+            // exactly that level where there is one, so that a wrong
+            // acceptance moves data a lower observer must not see, and
+            // the soundness oracle can observe the leak.
             std::string sel = rng_.chance(25) ? "mode" : "next(mode)";
             uint64_t domain = uint64_t{1} << f.arg_width;
             for (uint64_t v = 0; v < domain; ++v) {
@@ -738,7 +741,9 @@ private:
                 std::string kw = v == 0 ? "    if" : "    else if";
                 line(kw + " (" + sel + " == " +
                      hex_literal(f.arg_width, v) + ") " + r.name + " <= " +
-                     expr(r.width, biased_ ? lev : -1, 2) + ";");
+                     (biased_ ? expr_reading(r.width, lev)
+                              : expr(r.width, -1, 2)) +
+                     ";");
             }
         }
     }
@@ -758,6 +763,19 @@ private:
             line("    if (" + guard + ") " + r.name + "[" +
                  std::to_string(r.width - 1) + ":" + std::to_string(split) +
                  "] <= " + expr(r.width - split, lev, 2) + ";");
+    }
+
+    /// An expression at level `lev` that reads an operand at exactly
+    /// that level, when the pool has one.
+    std::string expr_reading(uint32_t want_w, int lev) {
+        std::vector<Operand> exact;
+        for (const auto& op : pool_)
+            if (op.level == lev)
+                exact.push_back(op);
+        if (exact.empty())
+            return expr(want_w, lev, 2);
+        return "(" + operand_text(rng_.pick(exact)) + " ^ " +
+               expr(want_w, lev, 1) + ")";
     }
 
     std::string rhs(const NetInfo& r, int lev) {

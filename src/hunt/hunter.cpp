@@ -17,7 +17,7 @@ using namespace hir;
 const char* hunt_verdict_name(HuntVerdict v) {
     switch (v) {
     case HuntVerdict::Leak: return "leak";
-    case HuntVerdict::NoLeak: return "no-leak";
+    case HuntVerdict::NoLeakFound: return "no-leak-found";
     case HuntVerdict::NoSecrets: return "no-secrets";
     }
     return "unknown";
@@ -322,7 +322,7 @@ HuntResult hunt(const Design& design, const HuntOptions& opts) {
         states = std::move(next);
     }
 
-    res.verdict = HuntVerdict::NoLeak;
+    res.verdict = HuntVerdict::NoLeakFound;
     return res;
 }
 
@@ -334,11 +334,11 @@ std::string render_hunt(const Design& design, const HuntResult& r) {
        << r.seed << ")\n";
     switch (r.verdict) {
     case HuntVerdict::NoSecrets:
-        os << "  no input label can rise above the observer; nothing to "
-              "leak\n";
+        os << "  certificate: no input label can rise above the observer; "
+              "nothing to leak\n";
         break;
-    case HuntVerdict::NoLeak:
-        os << "  bounded certificate: no leak in " << r.depth
+    case HuntVerdict::NoLeakFound:
+        os << "  no leak found in " << r.depth
            << " cycles over " << r.assignments_tried
            << " input assignments (" << r.states_explored << " states)\n";
         break;

@@ -4,9 +4,9 @@
 // candidate is replayed through the concrete Simulator + TaintTracker
 // before it is reported — the trace in a Leak result is an *oracle-
 // confirmed* witness, and found traces are minimized with the same
-// ddmin machinery `svlc reduce` uses. A clean search to the depth bound
-// is a bounded no-leak certificate (for the explored inputs; see
-// docs/HUNT.md for exactly what it does and does not claim).
+// ddmin machinery `svlc reduce` uses. A search that reaches the depth
+// bound without a leak found none among the inputs it tried; that is not
+// a certificate (see docs/HUNT.md for what it does and does not claim).
 #pragma once
 
 #include "hunt/symexec.hpp"
@@ -36,9 +36,11 @@ struct HuntOptions {
 };
 
 enum class HuntVerdict {
-    Leak,      ///< confirmed trace found (replays to a TaintTracker violation)
-    NoLeak,    ///< bounded certificate: no leak within depth for tried inputs
-    NoSecrets, ///< no input can ever carry a secret w.r.t. the observer
+    Leak,        ///< confirmed trace found (replays to a TaintTracker
+                 ///< violation)
+    NoLeakFound, ///< no leak within depth among the inputs the beam tried
+    NoSecrets,   ///< certificate: no input can ever carry a secret w.r.t.
+                 ///< the observer
 };
 
 const char* hunt_verdict_name(HuntVerdict v);
@@ -62,7 +64,7 @@ struct ReplayWitness {
 };
 
 struct HuntResult {
-    HuntVerdict verdict = HuntVerdict::NoLeak;
+    HuntVerdict verdict = HuntVerdict::NoLeakFound;
     LevelId observer = kInvalidLevel;
     uint64_t depth = 0;
     uint64_t seed = 0;

@@ -209,7 +209,7 @@ std::string solver_stats_line(const check::CheckResult& result) {
         s.queries ? static_cast<double>(s.syntactic_hits + s.cache_hits) /
                         static_cast<double>(s.queries)
                   : 0.0;
-    char line[512];
+    char line[640];
     std::snprintf(line, sizeof line,
                   "solver stats: %llu queries, %llu syntactic hits, "
                   "%llu enumerations, %llu candidates (avg %.1f per "
@@ -217,7 +217,8 @@ std::string solver_stats_line(const check::CheckResult& result) {
                   "solver search: %llu conflicts, %llu propagations, "
                   "%llu learned clauses, %llu restarts\n"
                   "modular: %llu group(s), %llu obligation(s) "
-                  "reused, %llu solved in the flattened design\n",
+                  "reused, %llu solved in the flattened design\n"
+                  "equations: built for %llu of %llu process(es)\n",
                   static_cast<unsigned long long>(s.queries),
                   static_cast<unsigned long long>(s.syntactic_hits),
                   static_cast<unsigned long long>(s.enumerations),
@@ -232,7 +233,10 @@ std::string solver_stats_line(const check::CheckResult& result) {
                   static_cast<unsigned long long>(s.restarts),
                   static_cast<unsigned long long>(m.groups),
                   static_cast<unsigned long long>(m.reused),
-                  static_cast<unsigned long long>(m.solved));
+                  static_cast<unsigned long long>(m.solved),
+                  static_cast<unsigned long long>(result.equations.built),
+                  static_cast<unsigned long long>(
+                      result.equations.processes));
     return line;
 }
 

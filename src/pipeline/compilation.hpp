@@ -158,7 +158,8 @@ std::string check_human_summary(const Compilation& comp,
                                 const check::CheckResult& result);
 
 /// The `svlc check --stats` stderr lines (with trailing newline): solver
-/// work, then where modular checking decided the obligations.
+/// work, where modular checking decided the obligations, and how many
+/// processes had their equations built.
 /// Fixed-precision formatting keeps them byte-stable across platforms.
 std::string solver_stats_line(const check::CheckResult& result);
 

@@ -72,15 +72,8 @@ JsonValue lsp_diagnostics(const DiagnosticEngine& diags) {
 }
 
 const char* outcome_status(driver::JobStatus s, bool have_result) {
-    if (!have_result)
-        return "error"; // never parsed/elaborated to a check result
-    switch (s) {
-    case driver::JobStatus::Secure: return "secure";
-    case driver::JobStatus::Rejected: return "rejected";
-    case driver::JobStatus::Timeout: return "timeout";
-    case driver::JobStatus::Error: return "error";
-    }
-    return "error";
+    // Without a result the job never parsed or elaborated to a check.
+    return have_result ? driver::job_status_name(s) : "error";
 }
 
 } // namespace

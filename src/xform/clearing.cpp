@@ -42,6 +42,53 @@ ExprPtr function_level_expr(const LabelFunction& fn, uint32_t bits,
     return chain;
 }
 
+ExprPtr slice(const Expr& e, uint32_t msb, uint32_t lsb) {
+    auto s = std::make_unique<Expr>();
+    s->kind = ExprKind::Slice;
+    s->width = msb - lsb + 1;
+    s->msb = msb;
+    s->lsb = lsb;
+    s->loc = e.loc;
+    s->a = e.clone();
+    return s;
+}
+
+/// The value of scalar seq net n in the next cycle, in current-cycle
+/// terms: its defining equation, or for a register written through a
+/// part-select, its writes folded in program order, each range write
+/// splicing its bits into the value so far. An unwritten register keeps
+/// its value. A splice copies the value so far, so the result grows with
+/// the number of range writes; label arguments are narrow control
+/// registers with few.
+ExprPtr next_value(const Design& design, const sem::Equations& eqs,
+                   NetId n) {
+    if (const Expr* def = eqs.def(n))
+        return def->clone();
+    const Net& net = design.net(n);
+    ExprPtr value = Expr::make_net(n, net.width);
+    for (const sem::Write& w : eqs.writes(n)) {
+        ExprPtr rhs = w.rhs->clone();
+        if (w.ranged) {
+            // Elaboration sized rhs to the range.
+            auto cat = std::make_unique<Expr>();
+            cat->kind = ExprKind::Concat;
+            cat->width = net.width;
+            cat->loc = w.loc;
+            if (w.msb + 1 < net.width)
+                cat->parts.push_back(slice(*value, net.width - 1, w.msb + 1));
+            cat->parts.push_back(std::move(rhs));
+            if (w.lsb > 0)
+                cat->parts.push_back(slice(*value, w.lsb - 1, 0));
+            rhs = std::move(cat);
+        }
+        ExprPtr g = sem::conjoin(w.path);
+        value = g ? Expr::make_cond(std::move(g), std::move(rhs),
+                                    std::move(value), w.loc)
+                  : std::move(rhs);
+    }
+    return value;
+}
+
 } // namespace
 
 ExprPtr materialize_label_level(const Design& design, const Label& label,
@@ -68,10 +115,9 @@ ExprPtr materialize_label_level(const Design& design, const Label& label,
             std::vector<ExprPtr> args;
             for (NetId arg : atom.args) {
                 const Net& argnet = design.net(arg);
-                if (next_cycle && argnet.kind == NetKind::Seq) {
-                    const Expr* def = eqs.def(arg);
-                    args.push_back(def ? def->clone()
-                                       : Expr::make_net(arg, argnet.width));
+                if (next_cycle && argnet.kind == NetKind::Seq &&
+                    argnet.array_size == 0) {
+                    args.push_back(next_value(design, eqs, arg));
                 } else {
                     args.push_back(Expr::make_net(arg, argnet.width));
                 }

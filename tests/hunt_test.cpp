@@ -110,7 +110,7 @@ endmodule
 )");
     ASSERT_TRUE(c.ok()) << c.errors();
     hunt::HuntResult r = hunt::hunt(*c.design, small_hunt(8));
-    EXPECT_EQ(r.verdict, hunt::HuntVerdict::NoLeak);
+    EXPECT_EQ(r.verdict, hunt::HuntVerdict::NoLeakFound);
     EXPECT_EQ(r.unconfirmed_candidates, 0u);
 }
 
@@ -204,7 +204,7 @@ TEST(HuntCorpus, PlantedRingLeaksCleanRingDoesNot) {
     auto clean = compile(hunt::ring_scenario_source(2, false));
     ASSERT_TRUE(clean.ok()) << clean.errors();
     hunt::HuntResult rc = hunt::hunt(*clean.design, small_hunt(6));
-    EXPECT_EQ(rc.verdict, hunt::HuntVerdict::NoLeak);
+    EXPECT_EQ(rc.verdict, hunt::HuntVerdict::NoLeakFound);
     EXPECT_EQ(rc.unconfirmed_candidates, 0u);
 }
 
@@ -218,7 +218,7 @@ TEST(HuntCorpus, PlantedCacheLeaksCleanCacheDoesNot) {
     auto clean = compile(hunt::cache_scenario_source(4, false));
     ASSERT_TRUE(clean.ok()) << clean.errors();
     hunt::HuntResult rc = hunt::hunt(*clean.design, small_hunt(6));
-    EXPECT_EQ(rc.verdict, hunt::HuntVerdict::NoLeak);
+    EXPECT_EQ(rc.verdict, hunt::HuntVerdict::NoLeakFound);
     EXPECT_EQ(rc.unconfirmed_candidates, 0u);
 }
 
@@ -267,14 +267,37 @@ TEST(HuntDriver, HuntJobsReportLeakAsRejected) {
     EXPECT_NE(res.diagnostics.find("leak"), std::string::npos);
 }
 
-TEST(HuntDriver, HuntJobsReportCertificateAsSecure) {
+/// A beam-search miss is no proof, so it is not reported as secure.
+TEST(HuntDriver, HuntJobsReportMissAsNoLeakFound) {
     driver::JobSpec spec;
     spec.name = "ring2-ok";
     spec.top = "ring2";
     spec.hunt_depth = 6;
     driver::JobResult res =
         driver::hunt_text(spec, hunt::ring_scenario_source(2, false));
+    EXPECT_EQ(res.status, driver::JobStatus::NoLeakFound);
+    EXPECT_STREQ(driver::job_status_name(res.status), "no-leak-found");
+    EXPECT_NE(res.diagnostics.find("no leak found"), std::string::npos);
+    EXPECT_EQ(res.diagnostics.find("certificate"), std::string::npos);
+}
+
+/// Only the secret-free case is a certificate, and only it is secure.
+TEST(HuntDriver, HuntJobsReportCertificateAsSecure) {
+    driver::JobSpec spec;
+    spec.name = "trusted";
+    spec.hunt_depth = 6;
+    driver::JobResult res = driver::hunt_text(spec, R"(
+lattice { level T; level U; flow T -> U; }
+module m(input com [7:0] {T} a, output com [7:0] {T} out);
+  reg seq [7:0] {T} r;
+  assign out = r;
+  always @(seq) begin
+    r <= a + 8'h1;
+  end
+endmodule
+)");
     EXPECT_EQ(res.status, driver::JobStatus::Secure);
+    EXPECT_NE(res.diagnostics.find("certificate"), std::string::npos);
 }
 
 TEST(HuntDriver, ManifestHuntAttributeRoundTrips) {

@@ -1,8 +1,11 @@
 // Solver unit tests: three-valued evaluation soundness (property-based),
 // label evaluation, syntactic coverage, congruence, enumeration behaviour
 // and budgets, and counterexample reporting.
+#include "check/typecheck.hpp"
+#include "proc/sources.hpp"
 #include "sem/updates.hpp"
 #include "sim/simulator.hpp"
+#include "support/fsutil.hpp"
 #include "solver/entail.hpp"
 #include "solver/eval3.hpp"
 #include "test_util.hpp"
@@ -10,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
 
 namespace svlc::test {
 namespace {
@@ -660,6 +664,54 @@ endmodule
             EXPECT_EQ(sim.get(r).value(), asg.get(r, true)->value())
                 << "cycle " << cycle;
     }
+}
+
+/// Equations are built on demand; the order the nets are asked for must
+/// not change any of them.
+TEST(Equations, SameWhetherAskedForwardOrInReverse) {
+    std::vector<std::pair<std::string, std::string>> designs = {
+        {"labeled", proc::labeled_cpu_source()},
+        {"baseline", proc::baseline_cpu_source()},
+        {"vulnerable", proc::vulnerable_cpu_source()},
+        {"quad", proc::quad_core_source()},
+    };
+    for (const char* name : {"part_select_hold.svlc", "part_select_label.svlc"}) {
+        std::string source;
+        ASSERT_TRUE(read_file(
+            std::string(SVLC_FIXTURE_DIR "/partial_writes/") + name, source));
+        designs.emplace_back(name, std::move(source));
+    }
+    for (const auto& [name, source] : designs) {
+        auto c = compile(source);
+        ASSERT_TRUE(c.ok()) << name << c.errors();
+        const hir::Design& d = *c.design;
+        auto text = [&](const sem::Equations& eqs, hir::NetId n) {
+            const Expr* def = eqs.def(n);
+            return def ? to_string(*def, d) : std::string("<none>");
+        };
+        auto forward = sem::build_equations(d);
+        auto reverse = sem::build_equations(d);
+        EXPECT_EQ(forward.processes_built(), 0u) << name;
+        std::vector<std::string> want(d.nets.size());
+        for (hir::NetId n = 0; n < d.nets.size(); ++n)
+            want[n] = text(forward, n);
+        for (hir::NetId n = static_cast<hir::NetId>(d.nets.size()); n-- > 0;)
+            EXPECT_EQ(text(reverse, n), want[n])
+                << name << ": " << d.net(n).name;
+        EXPECT_EQ(forward.processes_built(), d.processes.size()) << name;
+        EXPECT_EQ(reverse.processes_built(), d.processes.size()) << name;
+    }
+}
+
+/// Three of the ring's four cores reuse the first one's proofs, so the
+/// check never reads most of their equations.
+TEST(Equations, CheckingTheQuadCoreBuildsFewerProcessesThanItHas) {
+    Compiled c;
+    check::CheckResult r = check_source(proc::quad_core_source(), c);
+    ASSERT_TRUE(c.ok()) << c.errors();
+    EXPECT_EQ(r.equations.processes, c.design->processes.size());
+    EXPECT_GT(r.equations.built, 0u);
+    EXPECT_LT(r.equations.built, r.equations.processes);
 }
 
 } // namespace

@@ -67,6 +67,35 @@ TEST(Noninterference, DynamicClearingRestoresSecurity) {
                                    : result.violations[0].description);
 }
 
+/// A label argument written only through part-selects has no defining
+/// equation; the transform must still clear on a change of its level.
+TEST(Noninterference, DynamicClearingSeesPartSelectLabelArguments) {
+    std::string source;
+    ASSERT_TRUE(read_file(
+        std::string(SVLC_FIXTURE_DIR "/clearing/part_select_arg.svlc"),
+        source));
+    verify::NIConfig cfg;
+    cfg.cycles = 64;
+    cfg.trials = 4;
+    {
+        auto c = compile(source);
+        ASSERT_TRUE(c.ok()) << c.errors();
+        cfg.observer = trusted_level(*c.design);
+        EXPECT_FALSE(verify::test_noninterference(*c.design, cfg).ok)
+            << "without clearing the fixture must leak";
+    }
+    auto c = compile(source);
+    ASSERT_TRUE(c.ok()) << c.errors();
+    auto report = xform::apply_dynamic_clearing(*c.design);
+    ASSERT_EQ(report.cleared.size(), 1u);
+    EXPECT_EQ(c.design->net(report.cleared[0]).name, "shared");
+    ASSERT_TRUE(sem::analyze_wellformed(*c.design, *c.diags)) << c.errors();
+    auto result = verify::test_noninterference(*c.design, cfg);
+    EXPECT_TRUE(result.ok) << (result.violations.empty()
+                                   ? ""
+                                   : result.violations[0].description);
+}
+
 TEST(Noninterference, DynamicClearingDestroysTheValue) {
     // The clearing transform is secure but erases data on *every* label
     // change — including the benign U->... change where the designer
