@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # One-label edit against a warm store: after editing one label in a copy
-# of the labeled CPU, `svlc batch --store` must re-verify exactly that job
-# and report it byte-identically (stable subset) to a `--no-store` run.
+# of the labeled CPU (same size, mtime restored), `svlc batch --store` must
+# re-verify exactly that job and report it byte-identically (stable
+# subset) to a `--no-store` run.
 #
 #   .github/ci/edit_reverify.sh ./build/tools/svlc
 set -euo pipefail
@@ -17,7 +18,14 @@ batch() {
 }
 batch --store "$WORK/store"
 # net_in {U} -> {T}: T flows to U, so only this job's source changes.
-sed -i 's/{U} net_in/{T} net_in/' "$WORK/corpus/cpu_labeled.svlc"
+# The edit keeps the size, and the old mtime is put back, so size and
+# mtime cannot tell the rewrite apart: the store must key on content.
+CPU="$WORK/corpus/cpu_labeled.svlc"
+before=$(stat -c '%s %y' "$CPU")
+touch -r "$CPU" "$WORK/mtime.ref"
+sed -i 's/{U} net_in/{T} net_in/' "$CPU"
+touch -r "$WORK/mtime.ref" "$CPU"
+[ "$(stat -c '%s %y' "$CPU")" = "$before" ]
 batch --store "$WORK/store" --json "$WORK/warm.json"
 batch --no-store --json "$WORK/fresh.json"
 python3 - "$WORK" <<'PY'

@@ -4,8 +4,8 @@
 //   cache-warm        — same process, in-memory entail cache warm
 //   fingerprint-warm  — fresh driver over a populated store: every job
 //                       replays its verdict, nothing is parsed at all
-// The fingerprint-warm row is the edit–recheck steady state `svlc watch`
-// and CI-cached batches live in; the acceptance bar is >= 50x over cold.
+// The fingerprint-warm row is the edit–recheck steady state a
+// `batch --store` loop and CI-cached batches live in; the acceptance bar is >= 50x over cold.
 // Emits BENCH_incr.json (svlc-bench-incr/v4; v3 also carried
 // entail_loaded from the retired persisted entailment cache) alongside
 // the table.

@@ -145,7 +145,7 @@ struct BatchReport {
 ///
 /// When `store` is non-null, a Secure or Rejected verdict is persisted
 /// under the job fingerprint (set in JobResult::fingerprint), so a later
-/// run with the same inputs — batch, watch, or serve — skips the job.
+/// run with the same inputs — batch or serve — skips the job.
 /// Timeouts and errors are never stored: a timeout depends on the
 /// deadline and an error on transient conditions.
 JobResult verify_text(pipeline::Compilation& comp, const JobSpec& spec,

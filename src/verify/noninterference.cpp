@@ -44,6 +44,36 @@ NIResult test_noninterference(const Design& design, const NIConfig& cfg) {
             high_inputs.push_back(net.id);
     }
 
+    // Observable nets of `kind` must carry the same visibility in both
+    // runs and, where visible, the same value.
+    auto compare = [&](const sim::Simulator& a, const sim::Simulator& b,
+                       uint64_t trial, uint64_t cycle, NetKind kind) {
+        for (const Net& net : design.nets) {
+            if (net.is_input || net.array_size != 0 || net.kind != kind)
+                continue;
+            LevelId la = a.current_label(net.id);
+            LevelId lb = b.current_label(net.id);
+            bool visible_a = lat.flows(la, cfg.observer);
+            bool visible_b = lat.flows(lb, cfg.observer);
+            if (visible_a != visible_b) {
+                result.ok = false;
+                result.violations.push_back(
+                    {trial, cycle, net.id,
+                     "label of '" + net.name +
+                         "' diverges between low-equivalent runs"});
+            } else if (visible_a &&
+                       a.get(net.id).value() != b.get(net.id).value()) {
+                result.ok = false;
+                result.violations.push_back(
+                    {trial, cycle, net.id,
+                     "observable net '" + net.name +
+                         "' differs between low-equivalent runs (" +
+                         a.get(net.id).str() + " vs " + b.get(net.id).str() +
+                         ")"});
+            }
+        }
+    };
+
     std::mt19937_64 rng(cfg.seed);
     for (uint64_t trial = 0; trial < cfg.trials; ++trial) {
         sim::Simulator a(design), b(design);
@@ -74,34 +104,22 @@ NIResult test_noninterference(const Design& design, const NIConfig& cfg) {
                 cfg.driver(a, cycle);
                 cfg.driver(b, cycle);
             }
-            a.step();
-            b.step();
+            // A comb net's value and its label must be read in the same
+            // state. Comb nets are compared after this cycle's processes
+            // ran, while the registers their labels read still hold their
+            // pre-edge values; registers after the commit.
+            a.begin_step();
+            b.begin_step();
+            for (size_t pi : design.schedule) {
+                a.exec_process(pi);
+                b.exec_process(pi);
+            }
+            compare(a, b, trial, cycle, NetKind::Com);
+            a.end_step();
+            b.end_step();
+            compare(a, b, trial, cycle, NetKind::Seq);
             ++result.cycles_run;
 
-            for (const Net& net : design.nets) {
-                if (net.is_input || net.array_size != 0)
-                    continue;
-                LevelId la = a.current_label(net.id);
-                LevelId lb = b.current_label(net.id);
-                bool visible_a = lat.flows(la, cfg.observer);
-                bool visible_b = lat.flows(lb, cfg.observer);
-                if (visible_a != visible_b) {
-                    result.ok = false;
-                    result.violations.push_back(
-                        {trial, cycle, net.id,
-                         "label of '" + net.name +
-                             "' diverges between low-equivalent runs"});
-                } else if (visible_a &&
-                           a.get(net.id).value() != b.get(net.id).value()) {
-                    result.ok = false;
-                    result.violations.push_back(
-                        {trial, cycle, net.id,
-                         "observable net '" + net.name +
-                             "' differs between low-equivalent runs (" +
-                             a.get(net.id).str() + " vs " +
-                             b.get(net.id).str() + ")"});
-                }
-            }
             if (!result.ok)
                 return result; // first divergence is enough
         }

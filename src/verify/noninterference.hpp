@@ -9,7 +9,9 @@
 // while its label, evaluated in both runs, flows to the observer. Every
 // cycle, any net whose (dependent, run-time evaluated) label flows to the
 // observer must agree between the runs; a disagreement is an information
-// leak. Well-typed designs must pass; the Fig. 3 implicit-downgrading
+// leak. A value is compared in the state its label reads: comb nets after
+// the cycle's processes ran but before the register commit, registers
+// after it. Well-typed designs must pass; the Fig. 3 implicit-downgrading
 // design must fail; the same design after dynamic clearing must pass.
 #pragma once
 

@@ -56,12 +56,16 @@ TEST(Cli, FlagTheCommandDoesNotTakeIsAUsageError) {
     // backend's message names the ones that do.
     expect_usage_error("batch " + kFig4 + " --warm",
                        "batch: unknown option '--warm'");
+    // `watch` and its poll options are gone too.
+    expect_usage_error("batch " + kFig4 + " --interval-ms 5",
+                       "batch: unknown option '--interval-ms'");
     expect_usage_error("check " + kFig4 + " --solver prune",
                        "--solver: unknown backend 'prune' (expected one of: "
                        "enum, cdcl)");
     // Removed commands are unknown commands.
     expect_usage_error("coordinator --socket /tmp/x hdl/", "usage:");
     expect_usage_error("worker --connect /tmp/x", "usage:");
+    expect_usage_error("watch hdl/", "usage:");
 }
 
 TEST(Cli, MalformedNumbersAreRejectedNotReadAsZero) {

@@ -7,7 +7,6 @@
 #include "incr/store.hpp"
 
 #include "driver/driver.hpp"
-#include "driver/watch.hpp"
 #include "support/fsutil.hpp"
 #include "support/hash.hpp"
 #include "test_util.hpp"
@@ -18,7 +17,6 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
-#include <thread>
 
 namespace svlc::test {
 namespace {
@@ -694,136 +692,33 @@ TEST_F(IncrTest, ErrorsAndTimeoutsAreNeverPersisted) {
     EXPECT_FALSE(t2.results[0].skipped); // timeout was not replayed
 }
 
-TEST_F(IncrTest, WatchRunsIterationsAndStops) {
-    write("a.svlc", kSecure);
-    write("b.svlc", kRejected);
-
-    driver::WatchOptions opts;
-    opts.driver.store_dir = store_dir();
-    opts.interval_ms = 1;
-    opts.max_iterations = 2;
-
-    fs::path log = dir_ / "watch.log";
-    std::FILE* out = std::fopen(log.string().c_str(), "w");
-    ASSERT_NE(out, nullptr);
-    int rc = driver::run_watch(dir_.string(), opts, out, out);
-    std::fclose(out);
-    EXPECT_EQ(rc, 0);
-
-    std::string text;
-    ASSERT_TRUE(read_file(log.string(), text));
-    EXPECT_NE(text.find("2/2 job(s) dirty"), std::string::npos);
-    EXPECT_NE(text.find("[watch #2] clean"), std::string::npos);
-
-    // A missing target is a usage error on the first iteration.
-    std::FILE* devnull = std::fopen(log.string().c_str(), "w");
-    EXPECT_EQ(driver::run_watch((dir_ / "nope").string(), opts, devnull,
-                                devnull),
-              2);
-    std::fclose(devnull);
-}
-
-// --- stat-based dirty detection (racy-stat window) -------------------------
-
-TEST(WatchStat, IdenticalRecentSignatureIsNotTrusted) {
-    // A same-size rewrite within the filesystem's timestamp granularity
-    // leaves (mtime, size) unchanged; inside the racy window the watcher
-    // must fall back to re-hashing instead of declaring the file clean.
-    driver::StatSig sig;
-    sig.mtime_ns = 1'000'000'000'000;
-    sig.size = 64;
-    int64_t now = sig.mtime_ns + driver::kStatRacyWindowNs - 1;
-    EXPECT_FALSE(driver::stat_proves_unchanged(sig, sig, now));
-    // Old enough: the signature alone proves the content unchanged.
-    now = sig.mtime_ns + driver::kStatRacyWindowNs;
-    EXPECT_TRUE(driver::stat_proves_unchanged(sig, sig, now));
-}
-
-TEST(WatchStat, ChangedSignatureOrUnsetPrevIsNeverTrusted) {
-    driver::StatSig prev;
-    prev.mtime_ns = 5'000'000'000;
-    prev.size = 10;
-    driver::StatSig cur = prev;
-    int64_t old_now = prev.mtime_ns + 10 * driver::kStatRacyWindowNs;
-
-    cur.size = 11;
-    EXPECT_FALSE(driver::stat_proves_unchanged(prev, cur, old_now));
-    cur = prev;
-    cur.mtime_ns += 1;
-    EXPECT_FALSE(driver::stat_proves_unchanged(prev, cur, old_now));
-
-    driver::StatSig unset; // mtime_ns = -1: no prior observation
-    EXPECT_FALSE(driver::stat_proves_unchanged(unset, prev, old_now));
-}
-
-TEST_F(IncrTest, WatchSeesSameSizeSameSecondRewrite) {
-    // Regression: two same-length writes inside one mtime tick used to be
-    // invisible to the stat-based skip, so the second verdict never
-    // updated. kSecure and the broken variant below differ in exactly one
-    // byte ('a' -> 'z' makes the assign read an undeclared net).
-    std::string broken(kSecure);
-    size_t pos = broken.find("assign b = a;");
+TEST_F(IncrTest, SameSizeRewriteWithPinnedMtimeIsReverified) {
+    // A same-length rewrite within one timestamp tick leaves (mtime, size)
+    // unchanged. The store keys on a content hash, never on stat, so the
+    // next run must still see the edit. The two sources differ in one
+    // byte: input `a` goes from T to U, so `assign b = a` now leaks.
+    std::string leaky(kSecure);
+    size_t pos = leaky.find("input com {T} a");
     ASSERT_NE(pos, std::string::npos);
-    broken[pos + std::string("assign b = ").size()] = 'z';
-    ASSERT_EQ(broken.size(), std::string(kSecure).size());
+    leaky[pos + std::string("input com {").size()] = 'U';
+    ASSERT_EQ(leaky.size(), std::string(kSecure).size());
 
     std::string path = write("a.svlc", kSecure);
-    driver::StatSig first;
-    ASSERT_TRUE(driver::stat_file(path, first));
+    fs::file_time_type mtime = fs::last_write_time(path);
+    std::vector<JobSpec> jobs = {{path, path, "", "", 0}};
+    DriverOptions opts;
+    opts.store_dir = store_dir();
+    BatchReport r1 = VerificationDriver(opts).run(jobs);
+    ASSERT_EQ(r1.results[0].status, JobStatus::Secure);
 
-    // Rewrite immediately and pin mtime to the first observation,
-    // simulating a coarse-granularity filesystem tick.
-    write("a.svlc", broken);
-    fs::last_write_time(
-        path, fs::file_time_type(std::chrono::nanoseconds(first.mtime_ns)));
-    driver::StatSig second;
-    ASSERT_TRUE(driver::stat_file(path, second));
-    ASSERT_EQ(first, second); // stat cannot distinguish the rewrite
+    write("a.svlc", leaky);
+    fs::last_write_time(path, mtime);
+    ASSERT_EQ(fs::last_write_time(path), mtime);
+    ASSERT_EQ(fs::file_size(path), std::string(kSecure).size());
 
-    // The racy window is what saves us: the mtime is recent, so the
-    // signature match must NOT be trusted.
-    EXPECT_FALSE(driver::stat_proves_unchanged(
-        first, second, driver::file_clock_now_ns()));
-}
-
-TEST_F(IncrTest, WatchReverifiesAfterSameSignatureRewrite) {
-    // End-to-end: iteration 1 verifies the secure version; mid-poll the
-    // file is rewritten same-size with its mtime pinned back (a rewrite
-    // within one timestamp tick); iteration 2 must re-read and flip the
-    // verdict instead of trusting the unchanged stat signature.
-    std::string broken(kSecure);
-    size_t pos = broken.find("assign b = a;");
-    ASSERT_NE(pos, std::string::npos);
-    broken[pos + std::string("assign b = ").size()] = 'z';
-    ASSERT_EQ(broken.size(), std::string(kSecure).size());
-
-    std::string path = write("a.svlc", kSecure);
-    driver::StatSig first;
-    ASSERT_TRUE(driver::stat_file(path, first));
-
-    driver::WatchOptions opts;
-    opts.interval_ms = 600;
-    opts.max_iterations = 2;
-    std::thread writer([&] {
-        // Lands inside iteration 1's poll sleep: well after its verify
-        // (sub-ms for this module), well before iteration 2.
-        std::this_thread::sleep_for(std::chrono::milliseconds(250));
-        write("a.svlc", broken);
-        fs::last_write_time(path, fs::file_time_type(std::chrono::nanoseconds(
-                                      first.mtime_ns)));
-    });
-
-    fs::path log = dir_ / "watch.log";
-    std::FILE* out = std::fopen(log.string().c_str(), "w");
-    ASSERT_NE(out, nullptr);
-    int rc = driver::run_watch(dir_.string(), opts, out, out);
-    std::fclose(out);
-    writer.join();
-    EXPECT_EQ(rc, 0);
-
-    std::string text;
-    ASSERT_TRUE(read_file(log.string(), text));
-    EXPECT_NE(text.find("(was secure)"), std::string::npos) << text;
+    BatchReport r2 = VerificationDriver(opts).run(jobs);
+    EXPECT_FALSE(r2.results[0].skipped);
+    EXPECT_EQ(r2.results[0].status, JobStatus::Rejected);
 }
 
 } // namespace

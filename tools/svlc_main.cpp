@@ -9,7 +9,6 @@
 #include "check/typecheck.hpp"
 #include "codegen/verilog.hpp"
 #include "driver/driver.hpp"
-#include "driver/watch.hpp"
 #include "fuzz/reducer.hpp"
 #include "fuzz/runner.hpp"
 #include "hunt/corpus.hpp"
@@ -63,10 +62,6 @@ int usage() {
                  "             [--json out.json] [--timeout-ms T] [--no-cache]\n"
                  "             [--cpus] [--classic] [--no-hold] [--store DIR]\n"
                  "             [--no-store] [--solver enum|cdcl]\n"
-                 "  svlc watch <manifest|dir|file.svlc|builtin:V> [--store DIR]\n"
-                 "             [--no-store] [--interval-ms T] [--iterations N]\n"
-                 "             [--jobs N] [--timeout-ms T] [--no-cache] [--cpus]\n"
-                 "             [--classic] [--no-hold] [--solver enum|cdcl]\n"
                  "  svlc diff-backends <manifest|dir|file.svlc|builtin:V>\n"
                  "             [--jobs N] [--timeout-ms T] [--cpus] [--classic]\n"
                  "             [--no-hold]\n"
@@ -108,18 +103,15 @@ struct Args {
     bool stats = false;
     // entailment backend (empty = engine default)
     std::string solver;
-    // batch / watch / diff-backends
+    // batch / diff-backends
     uint64_t jobs = 0;
     std::string json_path;
     uint64_t timeout_ms = 0;
     bool no_cache = false;
     bool cpus = false;
-    // batch/watch/serve persistent store
+    // batch/serve persistent store
     std::string store_dir;
     bool no_store = false;
-    // watch
-    uint64_t interval_ms = 500;
-    uint64_t iterations = 0;
     // check --remote / serve / client
     std::string socket_path;
     uint64_t max_sessions = 16;
@@ -245,31 +237,29 @@ struct Option {
     Apply apply;
 };
 
-constexpr const char* kCheckers = "check serve batch watch diff-backends reduce";
+constexpr const char* kCheckers = "check serve batch diff-backends reduce";
 
 const Option kOptions[] = {
     {"--top", true, "check emit-verilog sim synth taint hunt",
      set_text<&Args::top>},
     {"--classic", false, kCheckers, set_flag<&Args::classic>},
     {"--no-hold", false, kCheckers, set_flag<&Args::no_hold>},
-    {"--solver", true, "check serve batch watch reduce", set_solver},
+    {"--solver", true, "check serve batch reduce", set_solver},
     {"--json", true, "check batch hunt", set_text<&Args::json_path>},
     {"--stats", false, "check", set_flag<&Args::stats>},
     {"--remote", true, "check", set_text<&Args::socket_path>},
     {"--socket", true, "serve client", set_text<&Args::socket_path>},
     {"--retry", true, "check client", set_uint<&Args::retry_attempts>},
     {"--backoff", true, "check client", set_uint<&Args::retry_backoff_ms>},
-    {"--store", true, "serve batch watch", set_text<&Args::store_dir>},
-    {"--no-store", false, "batch watch", set_flag<&Args::no_store>},
+    {"--store", true, "serve batch", set_text<&Args::store_dir>},
+    {"--no-store", false, "batch", set_flag<&Args::no_store>},
     {"--max-sessions", true, "serve", set_uint<&Args::max_sessions>},
     {"--idle-timeout", true, "serve", set_uint<&Args::idle_timeout_sec>},
-    {"--timeout-ms", true, "serve batch watch diff-backends",
+    {"--timeout-ms", true, "serve batch diff-backends",
      set_uint<&Args::timeout_ms>},
-    {"--jobs", true, "batch watch diff-backends", set_uint<&Args::jobs>},
-    {"--no-cache", false, "batch watch", set_flag<&Args::no_cache>},
-    {"--cpus", false, "batch watch diff-backends", set_flag<&Args::cpus>},
-    {"--interval-ms", true, "watch", set_uint<&Args::interval_ms>},
-    {"--iterations", true, "watch", set_uint<&Args::iterations>},
+    {"--jobs", true, "batch diff-backends", set_uint<&Args::jobs>},
+    {"--no-cache", false, "batch", set_flag<&Args::no_cache>},
+    {"--cpus", false, "batch diff-backends", set_flag<&Args::cpus>},
     {"--compat", false, "emit-verilog", set_flag<&Args::compat>},
     {"--no-enable-ff", false, "synth", set_flag<&Args::no_enable_ff>},
     {"--clock", true, "synth", set_clock},
@@ -299,15 +289,14 @@ struct Command {
 };
 
 const Command kCommands[] = {
-    {"check", 1, 1},        {"serve", 0, 0},
-    {"client", 1, 2},       {"batch", 1, 1},
-    {"watch", 1, 1},        {"diff-backends", 1, 1},
-    {"emit-verilog", 1, 1}, {"sim", 1, 1},
-    {"synth", 1, 1},        {"taint", 1, 1},
-    {"hunt", 1, 1},         {"hunt-corpus", 0, 0},
-    {"dump-cpu", 1, 2},     {"asm", 1, 2},
-    {"disasm", 1, 1},       {"fuzz", 0, 0},
-    {"reduce", 1, 1},
+    {"check", 1, 1},         {"serve", 0, 0},
+    {"client", 1, 2},        {"batch", 1, 1},
+    {"diff-backends", 1, 1}, {"emit-verilog", 1, 1},
+    {"sim", 1, 1},           {"synth", 1, 1},
+    {"taint", 1, 1},         {"hunt", 1, 1},
+    {"hunt-corpus", 0, 0},   {"dump-cpu", 1, 2},
+    {"asm", 1, 2},           {"disasm", 1, 1},
+    {"fuzz", 0, 0},          {"reduce", 1, 1},
 };
 
 bool accepts(const char* commands, const std::string& command) {
@@ -394,7 +383,7 @@ net::RetryOptions retry_options(const Args& args) {
     return retry;
 }
 
-/// Checker configuration shared by check/batch/watch: mode, hold
+/// Checker configuration shared by check/batch: mode, hold
 /// obligations, and the entailment backend.
 check::CheckOptions check_options(const Args& args) {
     check::CheckOptions opts;
@@ -587,20 +576,6 @@ int cmd_batch(const Args& args) {
     // Rejected designs are a successful verification outcome; only
     // infrastructure failures (error/timeout) fail the batch.
     return report.all_ran() ? 0 : 1;
-}
-
-int cmd_watch(const Args& args) {
-    driver::WatchOptions opts;
-    opts.driver.jobs = args.jobs;
-    opts.driver.timeout_ms = args.timeout_ms;
-    opts.driver.use_cache = !args.no_cache;
-    if (!args.no_store)
-        opts.driver.store_dir = args.store_dir;
-    opts.driver.check = check_options(args);
-    opts.interval_ms = args.interval_ms;
-    opts.max_iterations = args.iterations;
-    opts.include_cpus = args.cpus;
-    return driver::run_watch(args.file, opts, stdout, stderr);
 }
 
 int cmd_diff(const Args& args) {
@@ -1022,8 +997,6 @@ int dispatch(const Args& args) {
         return cmd_client(args);
     if (args.command == "batch")
         return cmd_batch(args);
-    if (args.command == "watch")
-        return cmd_watch(args);
     if (args.command == "diff-backends")
         return cmd_diff(args);
     if (args.command == "emit-verilog")
