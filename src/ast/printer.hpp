@@ -1,6 +1,7 @@
-// Pretty-printer: renders AST back to SecVerilogLC concrete syntax.
-// Used for diagnostics, golden tests, and as the basis of the Verilog
-// emitter (which prints with labels erased).
+// Pretty-printer: renders AST back to SecVerilogLC concrete syntax, so
+// that printed source reparses to the same AST (the fuzzer's roundtrip
+// oracle and the parser tests rely on it). Verilog emission prints HIR
+// instead (codegen/verilog.hpp).
 #pragma once
 
 #include "ast/ast.hpp"
@@ -9,17 +10,10 @@
 
 namespace svlc::ast {
 
-struct PrintOptions {
-    /// Erase security labels and com/seq annotations, producing plain
-    /// Verilog-like output.
-    bool erase_labels = false;
-    int indent_width = 2;
-};
-
-std::string print(const Expr& e, const PrintOptions& opts = {});
-std::string print(const Label& l, const PrintOptions& opts = {});
-std::string print(const Stmt& s, const PrintOptions& opts = {}, int indent = 0);
-std::string print(const Module& m, const PrintOptions& opts = {});
-std::string print(const CompilationUnit& cu, const PrintOptions& opts = {});
+std::string print(const Expr& e);
+std::string print(const Label& l);
+std::string print(const Stmt& s, int indent = 0);
+std::string print(const Module& m);
+std::string print(const CompilationUnit& cu);
 
 } // namespace svlc::ast

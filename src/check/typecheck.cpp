@@ -4,6 +4,7 @@
 #include <chrono>
 #include <map>
 #include <set>
+#include <span>
 #include <string_view>
 #include <unordered_map>
 
@@ -28,6 +29,39 @@ using solver::EntailStatus;
 using solver::SolverLabel;
 
 namespace {
+
+/// True when `outer` is `p` or one of its enclosing paths. The null path
+/// encloses every path.
+bool encloses(const sem::PathCond* outer, const sem::PathCond* p) {
+    for (; p; p = p->outer)
+        if (p == outer)
+            return true;
+    return outer == nullptr;
+}
+
+/// True when part-selects alone write every bit of a `width`-bit register
+/// on path `p`: the writes on `p` and on the paths enclosing it cover
+/// [width-1:0] and none of them is a whole write (whose own guard already
+/// implies `p`).
+bool part_selects_cover(std::span<const sem::Write> writes,
+                        const sem::PathCond* p, uint32_t width) {
+    std::vector<std::pair<uint32_t, uint32_t>> ranges; // [lsb, msb]
+    for (const sem::Write& w : writes) {
+        if (!encloses(w.path, p))
+            continue;
+        if (w.whole)
+            return false;
+        ranges.emplace_back(w.lsb, w.msb);
+    }
+    std::sort(ranges.begin(), ranges.end());
+    uint32_t covered = 0; // bits [covered-1:0] are written
+    for (auto [lsb, msb] : ranges) {
+        if (lsb > covered)
+            return false;
+        covered = std::max(covered, msb + 1);
+    }
+    return covered >= width;
+}
 
 /// One obligation as the first instance of a group decided it.
 struct Verdict {
@@ -398,18 +432,35 @@ void Checker::check_hold_obligations() {
 
         // The guards under which the register is *fully* written; the
         // hold obligation covers the complement. A part-select write
-        // leaves bits as they were, so it covers nothing.
+        // leaves the other bits as they were, so it counts only where
+        // the part-selects on its path and the paths enclosing it
+        // together cover the register.
         std::vector<ExprPtr> guards;
         bool always_written = false;
         if (net.array_size == 0) {
-            for (const sem::Write& w : eqs_.writes(id)) {
-                if (!w.whole)
+            std::span<const sem::Write> writes = eqs_.writes(id);
+            std::vector<const sem::PathCond*> part_paths;
+            for (const sem::Write& w : writes) {
+                if (!w.whole) {
+                    if (std::find(part_paths.begin(), part_paths.end(),
+                                  w.path) == part_paths.end())
+                        part_paths.push_back(w.path);
                     continue;
+                }
                 if (!w.path) {
                     always_written = true;
                     break;
                 }
                 guards.push_back(sem::conjoin(w.path));
+            }
+            for (const sem::PathCond* p : part_paths) {
+                if (always_written ||
+                    !part_selects_cover(writes, p, net.width))
+                    continue;
+                if (!p)
+                    always_written = true;
+                else
+                    guards.push_back(sem::conjoin(p));
             }
         } else {
             // Arrays: group whole-element writes by structurally equal

@@ -138,9 +138,9 @@ void write_obligation_record(JsonWriter& w, const ObligationRecord& rec,
                              bool with_timing);
 
 // ---------------------------------------------------------------------------
-// Single-file check rendering, shared by `svlc check` and the serve
-// daemon so that `svlc check --remote` output is byte-identical to the
-// in-process path (verdicts, witnesses, and diagnostics included).
+// Single-file check rendering: `svlc check` prints all three, and the
+// serve daemon answers with the same report, so an editor sees exactly
+// what `svlc check --json` writes.
 // ---------------------------------------------------------------------------
 
 /// Machine-readable single-file report (schema svlc-check-report/v1):

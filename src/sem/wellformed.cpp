@@ -41,14 +41,15 @@ void collect_stmt_reads_writes(const Stmt& s, std::set<NetId>& reads,
     primed.insert(p.begin(), p.end());
 }
 
-/// Definite-assignment walk for latch detection and def-before-use.
-/// `assigned` holds nets definitely assigned so far on the current path.
+/// Definite-assignment walk of a comb process, for latch detection and
+/// def-before-use. `assigned` holds nets definitely assigned so far on the
+/// current path. (A seq process reads old register values, which are
+/// always defined, so it is never walked.)
 class DefiniteAssignment {
 public:
     DefiniteAssignment(const Design& design, const std::set<NetId>& self_writes,
-                       ProcessKind kind, DiagnosticEngine& diags)
-        : design_(design), self_writes_(self_writes), kind_(kind),
-          diags_(diags) {}
+                       DiagnosticEngine& diags)
+        : design_(design), self_writes_(self_writes), diags_(diags) {}
 
     std::set<NetId> walk(const Stmt& s, std::set<NetId> assigned) {
         switch (s.kind) {
@@ -84,8 +85,6 @@ public:
 
 private:
     void check_reads(const Expr& e, const std::set<NetId>& assigned) {
-        if (kind_ != ProcessKind::Comb)
-            return; // seq reads are old register values; always defined
         std::vector<NetId> plain, primed;
         e.collect_reads(plain, primed);
         for (NetId n : plain) {
@@ -99,7 +98,6 @@ private:
 
     const Design& design_;
     const std::set<NetId>& self_writes_;
-    ProcessKind kind_;
     DiagnosticEngine& diags_;
 };
 
@@ -225,20 +223,21 @@ bool analyze_wellformed(Design& design, DiagnosticEngine& diags) {
     }
 
     // ------------------------------------------------------------------
-    // Pass 3: latch check (definite assignment) + def-before-use.
+    // Pass 3: latch check (definite assignment) + def-before-use, for
+    // comb processes.
     // ------------------------------------------------------------------
     for (const Process& proc : design.processes) {
+        if (proc.kind != ProcessKind::Comb)
+            continue;
         std::set<NetId> writes(proc.writes.begin(), proc.writes.end());
-        DefiniteAssignment da(design, writes, proc.kind, diags);
+        DefiniteAssignment da(design, writes, diags);
         std::set<NetId> assigned = da.walk(*proc.body, {});
-        if (proc.kind == ProcessKind::Comb) {
-            for (NetId n : proc.writes) {
-                if (!assigned.count(n))
-                    diags.error(DiagCode::InferredLatch, design.net(n).loc,
-                                "combinational net '" + design.net(n).name +
-                                    "' is not assigned on every path "
-                                    "(inferred latch)");
-            }
+        for (NetId n : proc.writes) {
+            if (!assigned.count(n))
+                diags.error(DiagCode::InferredLatch, design.net(n).loc,
+                            "combinational net '" + design.net(n).name +
+                                "' is not assigned on every path "
+                                "(inferred latch)");
         }
     }
 

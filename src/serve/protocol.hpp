@@ -1,5 +1,5 @@
 // JSON-RPC 2.0 message model for the `svlc serve` protocol
-// (schema tag svlc-serve/v1), layered over the Content-Length framing in
+// (schema tag svlc-serve/v2), layered over the Content-Length framing in
 // support/net.hpp.
 //
 // One frame carries exactly one JSON-RPC message:
@@ -23,7 +23,7 @@
 
 namespace svlc::serve {
 
-inline constexpr const char* kServeSchema = "svlc-serve/v1";
+inline constexpr const char* kServeSchema = "svlc-serve/v2";
 
 // JSON-RPC 2.0 error codes (plus the implementation-defined -32000 the
 // server uses for verification-infrastructure failures).

@@ -85,10 +85,8 @@ struct Outcome {
     bool valid = false;
     std::string status; // secure | rejected | timeout | error
     std::string fingerprint;
-    std::string human;       // check_human_summary (empty on error)
     std::string diagnostics; // rendered with source snippets
     std::string report;      // check_report_json (empty on error)
-    std::string stats_line;  // solver_stats_line (empty on error)
     uint64_t obligations = 0;
     uint64_t failed = 0;
     uint64_t downgrades = 0;
@@ -308,7 +306,7 @@ bool Server::do_verify(const JsonValue& params, Conn& push_to,
                        JsonValue& result, int& err_code,
                        std::string& err_msg) {
     // Resolve the source text: an in-memory buffer ("source" + "name",
-    // the didChange/--remote shape) or a server-side file read ("file").
+    // the didChange shape) or a server-side file read ("file").
     std::string source;
     std::string name;
     if (const JsonValue* src = params.find("source")) {
@@ -398,13 +396,9 @@ bool Server::do_verify(const JsonValue& params, Conn& push_to,
         out.failed = res.failed;
         out.downgrades = res.downgrades;
         out.lsp = lsp_diagnostics(session.comp.diags());
-        if (cres) {
-            out.human = pipeline::check_human_summary(session.comp, *cres);
+        if (cres)
             out.report =
                 pipeline::check_report_json(session.comp, *cres, name);
-            out.stats_line =
-                pipeline::solver_stats_line(*cres);
-        }
     } else {
         ++stats_.session_hits;
         touch(session);
@@ -430,10 +424,8 @@ bool Server::do_verify(const JsonValue& params, Conn& push_to,
     result.set("obligations", JsonValue(out.obligations));
     result.set("failed", JsonValue(out.failed));
     result.set("downgrades", JsonValue(out.downgrades));
-    result.set("human", JsonValue(out.human));
     result.set("diagnostics", JsonValue(out.diagnostics));
     result.set("report", JsonValue(out.report));
-    result.set("stats_line", JsonValue(out.stats_line));
     return true;
 }
 

@@ -14,8 +14,8 @@
 // A verify of an unchanged job — same key, same job fingerprint — is a
 // session hit: the response replays the cached outcome with zero
 // re-elaboration and zero solver calls. The table is server-wide rather
-// than per-connection precisely so that back-to-back `svlc check
-// --remote` processes (each a fresh connection) hit it.
+// than per-connection, so an editor that reconnects (or a second client
+// on the same buffer) still hits it.
 //
 // Single-threaded by design: requests are handled to completion in
 // arrival order and responses are written as whole frames, so

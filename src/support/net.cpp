@@ -1,9 +1,7 @@
 #include "support/net.hpp"
 
 #include <cerrno>
-#include <chrono>
 #include <cstring>
-#include <thread>
 
 #include <fcntl.h>
 #include <sys/socket.h>
@@ -60,31 +58,6 @@ int cloexec_socket() {
     return fd;
 }
 
-/// One connect() attempt; on failure `err_out` carries the errno so the
-/// retry loop can tell "not listening yet" from a hard error.
-std::optional<UnixStream> connect_once(const sockaddr_un& addr,
-                                       const std::string& path,
-                                       std::string& error, int& err_out) {
-    int fd = cloexec_socket();
-    if (fd < 0) {
-        err_out = errno;
-        error = errno_str("socket");
-        return std::nullopt;
-    }
-    int rc;
-    do {
-        rc = ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                       sizeof addr);
-    } while (rc < 0 && errno == EINTR);
-    if (rc < 0) {
-        err_out = errno;
-        error = errno_str(("connect to '" + path + "'").c_str());
-        ::close(fd);
-        return std::nullopt;
-    }
-    return UnixStream(fd);
-}
-
 } // namespace
 
 UnixStream& UnixStream::operator=(UnixStream&& o) noexcept {
@@ -101,42 +74,22 @@ std::optional<UnixStream> UnixStream::connect(const std::string& path,
     sockaddr_un addr;
     if (!make_addr(path, addr, error))
         return std::nullopt;
-    int err = 0;
-    return connect_once(addr, path, error, err);
-}
-
-std::optional<UnixStream> connect_with_retry(const std::string& path,
-                                             const RetryOptions& retry,
-                                             std::string& error) {
-    sockaddr_un addr;
-    if (!make_addr(path, addr, error))
+    int fd = cloexec_socket();
+    if (fd < 0) {
+        error = errno_str("socket");
         return std::nullopt;
-    for (int attempt = 0;; ++attempt) {
-        int err = 0;
-        auto stream = connect_once(addr, path, error, err);
-        if (stream)
-            return stream;
-        // Retry only the "server not up yet" cases: the socket file may
-        // not exist (ENOENT) or exist without a listener (ECONNREFUSED).
-        if (attempt >= retry.attempts ||
-            (err != ECONNREFUSED && err != ENOENT))
-            return std::nullopt;
-        // Linear backoff capped at 2 s, with deterministic per-process
-        // jitter (pid ⊔ attempt hashed) so a fleet started together
-        // spreads its reconnects instead of thundering in lockstep.
-        uint64_t base = retry.backoff_ms * static_cast<uint64_t>(attempt + 1);
-        if (base > 2000)
-            base = 2000;
-        uint64_t seed = static_cast<uint64_t>(::getpid()) * 1000003u +
-                        static_cast<uint64_t>(attempt);
-        seed ^= seed >> 33;
-        seed *= 0xff51afd7ed558ccdULL;
-        seed ^= seed >> 33;
-        uint64_t jitter = retry.backoff_ms ? seed % (retry.backoff_ms / 2 + 1)
-                                           : 0;
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(base / 2 + jitter));
     }
+    int rc;
+    do {
+        rc = ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                       sizeof addr);
+    } while (rc < 0 && errno == EINTR);
+    if (rc < 0) {
+        error = errno_str(("connect to '" + path + "'").c_str());
+        ::close(fd);
+        return std::nullopt;
+    }
+    return UnixStream(fd);
 }
 
 bool UnixStream::send_all(std::string_view data, std::string& error) {

@@ -101,25 +101,6 @@ private:
 /// server owns it. False for dead sockets, missing paths, non-sockets.
 bool socket_alive(const std::string& path);
 
-/// Bounded reconnect policy for clients racing a server's startup (a
-/// client launched alongside its daemon, `svlc client --retry`).
-struct RetryOptions {
-    /// Re-attempts after the first failed connect; 0 = single try.
-    int attempts = 0;
-    /// Base delay between attempts; attempt k sleeps ~k*backoff_ms
-    /// (capped at 2 s) plus deterministic jitter so a fleet of workers
-    /// does not reconnect in lockstep.
-    uint64_t backoff_ms = 100;
-};
-
-/// UnixStream::connect with RetryOptions applied. Only "nothing is
-/// listening yet" outcomes are retried — ECONNREFUSED (stale or
-/// not-yet-listening socket) and ENOENT (path not created yet); every
-/// other error (permission, path too long) fails immediately.
-std::optional<UnixStream> connect_with_retry(const std::string& path,
-                                             const RetryOptions& retry,
-                                             std::string& error);
-
 // --- length framing --------------------------------------------------------
 
 /// Wraps `payload` in a Content-Length frame.

@@ -59,6 +59,13 @@ TEST(Cli, FlagTheCommandDoesNotTakeIsAUsageError) {
     // `watch` and its poll options are gone too.
     expect_usage_error("batch " + kFig4 + " --interval-ms 5",
                        "batch: unknown option '--interval-ms'");
+    // So are `check --remote` and the client's reconnect options.
+    expect_usage_error("check " + kFig4 + " --remote /tmp/x",
+                       "check: unknown option '--remote'");
+    expect_usage_error("client --socket /tmp/svlc-cli-test.sock --retry abc status",
+                       "client: unknown option '--retry'");
+    expect_usage_error("client --socket /tmp/svlc-cli-test.sock --backoff '' status",
+                       "client: unknown option '--backoff'");
     expect_usage_error("check " + kFig4 + " --solver prune",
                        "--solver: unknown backend 'prune' (expected one of: "
                        "enum, cdcl)");
@@ -75,10 +82,6 @@ TEST(Cli, MalformedNumbersAreRejectedNotReadAsZero) {
                        "--max-sessions: bad value '4x'");
     expect_usage_error("serve --socket /tmp/svlc-cli-test.sock --idle-timeout -1",
                        "--idle-timeout: bad value '-1'");
-    expect_usage_error("client --socket /tmp/svlc-cli-test.sock --retry abc status",
-                       "--retry: bad value 'abc'");
-    expect_usage_error("client --socket /tmp/svlc-cli-test.sock --backoff '' status",
-                       "--backoff: bad value ''");
     expect_usage_error("fuzz --seed abc", "--seed: bad value 'abc'");
     expect_usage_error("fuzz --count 10k", "--count: bad value '10k'");
     expect_usage_error("sim " + kFig4 + " --set rst=yes",

@@ -10,12 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <fstream>
 #include <filesystem>
 #include <random>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <sys/socket.h>
@@ -321,56 +319,6 @@ TEST(Sockets, SendToHalfClosedPeerFailsWithoutSigpipe) {
     for (int i = 0; i < 64 && !failed; ++i)
         failed = !client->send_all(blob, error);
     EXPECT_TRUE(failed);
-    EXPECT_FALSE(error.empty());
-}
-
-TEST(Sockets, ConnectWithRetryWaitsForLateServer) {
-    std::string path = tmp_path("late");
-    ::unlink(path.c_str());
-
-    // Server binds ~200 ms after the client starts dialing — a client
-    // started alongside its daemon.
-    std::thread server([&] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(200));
-        std::string error;
-        auto listener = UnixListener::bind(path, error);
-        ASSERT_TRUE(listener.has_value()) << error;
-        std::string accept_error;
-        // Serve long enough for the client's winning attempt.
-        for (int i = 0; i < 100; ++i) {
-            if (auto conn = listener->accept(accept_error)) {
-                std::string payload;
-                net::FrameBuffer fb;
-                std::string err;
-                if (net::read_frame(*conn, fb, payload, err)) {
-                    EXPECT_EQ(payload, "hello");
-                }
-                return;
-            }
-            std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        }
-        FAIL() << "client never connected";
-    });
-
-    net::RetryOptions retry;
-    retry.attempts = 40;
-    retry.backoff_ms = 25;
-    std::string error;
-    auto stream = net::connect_with_retry(path, retry, error);
-    ASSERT_TRUE(stream.has_value()) << error;
-    EXPECT_TRUE(net::write_frame(*stream, "hello", error)) << error;
-    server.join();
-}
-
-TEST(Sockets, ConnectWithRetryZeroAttemptsFailsFast) {
-    std::string path = tmp_path("noretry");
-    ::unlink(path.c_str());
-    net::RetryOptions retry; // attempts = 0: single try
-    std::string error;
-    auto t0 = std::chrono::steady_clock::now();
-    EXPECT_FALSE(net::connect_with_retry(path, retry, error).has_value());
-    auto elapsed = std::chrono::steady_clock::now() - t0;
-    EXPECT_LT(elapsed, std::chrono::seconds(1));
     EXPECT_FALSE(error.empty());
 }
 

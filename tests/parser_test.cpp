@@ -238,23 +238,6 @@ endmodule
     EXPECT_EQ(ast::print(unit2), printed);
 }
 
-TEST(Printer, LabelErasureProducesPlainVerilogDecls) {
-    auto unit = parse_ok(R"(
-module m(input com {T} a);
-  reg seq [3:0] {T} r;
-  always @(seq) begin
-    r <= {3'b0, a};
-  end
-endmodule
-)");
-    ast::PrintOptions opts;
-    opts.erase_labels = true;
-    std::string printed = ast::print(unit, opts);
-    EXPECT_EQ(printed.find("{T}"), std::string::npos);
-    EXPECT_EQ(printed.find(" seq "), std::string::npos);
-    EXPECT_NE(printed.find("posedge clk"), std::string::npos);
-}
-
 // ---------------------------------------------------------------------------
 // Recovery hardening: truncated and hostile inputs must terminate with a
 // bounded diagnostic cascade, never hang or recurse without limit.

@@ -55,6 +55,8 @@ const GoldenCase kCases[] = {
      nullptr},
     {"part_select_label.json",
      "fixtures/partial_writes/part_select_label.svlc", nullptr},
+    {"part_select_cover.json",
+     "fixtures/partial_writes/part_select_cover.svlc", nullptr},
 };
 
 void PrintTo(const GoldenCase& gc, std::ostream* os) { *os << gc.fixture; }

@@ -152,6 +152,20 @@ module m(input com {T} go)          ;
   end
 endmodule
 )",
+        // 4. complementary part-selects: the low bits are written on
+        // every path, the high bits on the upgrade to T, so together
+        // they overwrite the whole register on that label change.
+        R"(
+module m(input com {T} go, input com [15:0] {T} t);
+  reg seq {T} mode;
+  reg seq [63:0] {mode_to_lb(mode)} r;
+  always @(seq) begin if (go) mode <= ~mode; end
+  always @(seq) begin
+    r[35:0] <= 36'h0;
+    if (next(mode) == 1'h0) r[63:36] <= {t[12:6], 21'h1};
+  end
+endmodule
+)",
     };
     for (const char* body : idioms) {
         Compiled c;

@@ -96,6 +96,29 @@ TEST(Noninterference, DynamicClearingSeesPartSelectLabelArguments) {
                                    : result.violations[0].description);
 }
 
+/// Complementary part-selects overwrite every bit of `shared` on the
+/// U -> T label change, so a trusted observer sees nothing untrusted;
+/// without the else branch (part_select_hold.svlc) the high nibble leaks.
+TEST(Noninterference, ComplementaryPartSelectsDoNotLeak) {
+    verify::NIConfig cfg;
+    cfg.cycles = 64;
+    cfg.trials = 4;
+    for (const char* name : {"part_select_cover.svlc", "part_select_hold.svlc"}) {
+        std::string source;
+        ASSERT_TRUE(read_file(
+            std::string(SVLC_FIXTURE_DIR "/partial_writes/") + name, source));
+        auto c = compile(source);
+        ASSERT_TRUE(c.ok()) << c.errors();
+        cfg.observer = trusted_level(*c.design);
+        auto result = verify::test_noninterference(*c.design, cfg);
+        bool cover = std::string(name) == "part_select_cover.svlc";
+        EXPECT_EQ(result.ok, cover)
+            << name << ": "
+            << (result.violations.empty() ? ""
+                                          : result.violations[0].description);
+    }
+}
+
 TEST(Noninterference, DynamicClearingDestroysTheValue) {
     // The clearing transform is secure but erases data on *every* label
     // change — including the benign U->... change where the designer

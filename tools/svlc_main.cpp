@@ -52,12 +52,10 @@ int usage() {
                  "usage:\n"
                  "  svlc check <file.svlc> [--top M] [--classic] [--no-hold]\n"
                  "             [--solver enum|cdcl] [--json out.json] [--stats]\n"
-                 "             [--remote SOCKET] [--retry N] [--backoff MS]\n"
                  "  svlc serve --socket PATH [--store DIR] [--max-sessions N]\n"
                  "             [--idle-timeout SEC] [--timeout-ms T]\n"
                  "             [--classic] [--no-hold] [--solver enum|cdcl]\n"
-                 "  svlc client --socket PATH [--retry N] [--backoff MS]\n"
-                 "             <method> [params-json]\n"
+                 "  svlc client --socket PATH <method> [params-json]\n"
                  "  svlc batch <manifest|dir|file.svlc|builtin:V> [--jobs N]\n"
                  "             [--json out.json] [--timeout-ms T] [--no-cache]\n"
                  "             [--cpus] [--classic] [--no-hold] [--store DIR]\n"
@@ -112,15 +110,12 @@ struct Args {
     // batch/serve persistent store
     std::string store_dir;
     bool no_store = false;
-    // check --remote / serve / client
+    // serve / client
     std::string socket_path;
     uint64_t max_sessions = 16;
     uint64_t idle_timeout_sec = 0;
     std::string client_method;
     std::string client_params = "{}";
-    // client / check --remote reconnect policy
-    uint64_t retry_attempts = 0;
-    uint64_t retry_backoff_ms = 100;
     // fuzz / hunt (each command has its own default seed)
     std::optional<uint64_t> seed;
     // fuzz / reduce
@@ -247,10 +242,7 @@ const Option kOptions[] = {
     {"--solver", true, "check serve batch reduce", set_solver},
     {"--json", true, "check batch hunt", set_text<&Args::json_path>},
     {"--stats", false, "check", set_flag<&Args::stats>},
-    {"--remote", true, "check", set_text<&Args::socket_path>},
     {"--socket", true, "serve client", set_text<&Args::socket_path>},
-    {"--retry", true, "check client", set_uint<&Args::retry_attempts>},
-    {"--backoff", true, "check client", set_uint<&Args::retry_backoff_ms>},
     {"--store", true, "serve batch", set_text<&Args::store_dir>},
     {"--no-store", false, "batch", set_flag<&Args::no_store>},
     {"--max-sessions", true, "serve", set_uint<&Args::max_sessions>},
@@ -375,14 +367,6 @@ bool parse_args(int argc, char** argv, Args& args) {
     return true;
 }
 
-/// Reconnect policy shared by client and check --remote.
-net::RetryOptions retry_options(const Args& args) {
-    net::RetryOptions retry;
-    retry.attempts = static_cast<int>(args.retry_attempts);
-    retry.backoff_ms = args.retry_backoff_ms;
-    return retry;
-}
-
 /// Checker configuration shared by check/batch: mode, hold
 /// obligations, and the entailment backend.
 check::CheckOptions check_options(const Args& args) {
@@ -410,34 +394,6 @@ std::unique_ptr<pipeline::Compilation> elaborate_file(const Args& args) {
 }
 
 int cmd_check(const Args& args) {
-    // --remote: forward the request to a running `svlc serve` daemon and
-    // fall back silently to the in-process path when nothing is
-    // listening. The daemon renders through the same pipeline helpers,
-    // so both paths are byte-identical.
-    if (!args.socket_path.empty()) {
-        serve::RemoteCheckResult remote;
-        if (serve::remote_check(args.socket_path, args.file, args.top,
-                                check_options(args), remote,
-                                retry_options(args))) {
-            std::fputs(remote.diagnostics.c_str(), stderr);
-            std::fputs(remote.human.c_str(), stdout);
-            if (remote.status == "error")
-                return 1;
-            if (!args.json_path.empty()) {
-                std::ofstream out(args.json_path);
-                if (!out) {
-                    std::fprintf(stderr, "cannot write '%s'\n",
-                                 args.json_path.c_str());
-                    return 2;
-                }
-                out << remote.report_json;
-                std::fprintf(stderr, "wrote %s\n", args.json_path.c_str());
-            }
-            if (args.stats)
-                std::fputs(remote.stats_line.c_str(), stderr);
-            return remote.status == "secure" ? 0 : 1;
-        }
-    }
     pipeline::CompilationOptions popts;
     popts.top = args.top;
     popts.check = check_options(args);
@@ -490,8 +446,7 @@ int cmd_serve(const Args& args) {
 
 int cmd_client(const Args& args) {
     std::string error;
-    auto client =
-        serve::Client::connect(args.socket_path, retry_options(args), error);
+    auto client = serve::Client::connect(args.socket_path, error);
     if (!client) {
         std::fprintf(stderr, "svlc client: %s\n", error.c_str());
         return 2;
