@@ -137,60 +137,4 @@ LabelPtr clone(const Label& l) {
     return out;
 }
 
-static LValue clone_lvalue(const LValue& lv) {
-    LValue out;
-    out.name = lv.name;
-    out.index = lv.index ? clone(*lv.index) : nullptr;
-    out.range_msb = lv.range_msb ? clone(*lv.range_msb) : nullptr;
-    out.range_lsb = lv.range_lsb ? clone(*lv.range_lsb) : nullptr;
-    out.loc = lv.loc;
-    return out;
-}
-
-StmtPtr clone(const Stmt& s) {
-    switch (s.kind) {
-    case StmtKind::Block: {
-        const auto& b = static_cast<const BlockStmt&>(s);
-        std::vector<StmtPtr> stmts;
-        stmts.reserve(b.stmts.size());
-        for (const auto& st : b.stmts)
-            stmts.push_back(clone(*st));
-        return std::make_unique<BlockStmt>(std::move(stmts), b.loc);
-    }
-    case StmtKind::If: {
-        const auto& i = static_cast<const IfStmt&>(s);
-        return std::make_unique<IfStmt>(
-            clone(*i.cond), clone(*i.then_stmt),
-            i.else_stmt ? clone(*i.else_stmt) : nullptr, i.loc);
-    }
-    case StmtKind::Case: {
-        const auto& c = static_cast<const CaseStmt&>(s);
-        std::vector<CaseItem> items;
-        items.reserve(c.items.size());
-        for (const auto& it : c.items) {
-            CaseItem ci;
-            for (const auto& v : it.values)
-                ci.values.push_back(clone(*v));
-            ci.body = clone(*it.body);
-            items.push_back(std::move(ci));
-        }
-        return std::make_unique<CaseStmt>(clone(*c.subject), std::move(items),
-                                          c.loc);
-    }
-    case StmtKind::Assign: {
-        const auto& a = static_cast<const AssignStmt&>(s);
-        return std::make_unique<AssignStmt>(clone_lvalue(a.lhs), a.op,
-                                            clone(*a.rhs), a.loc);
-    }
-    case StmtKind::Assume: {
-        const auto& a = static_cast<const AssumeStmt&>(s);
-        return std::make_unique<AssumeStmt>(clone(*a.pred), a.loc);
-    }
-    case StmtKind::Skip:
-        return std::make_unique<SkipStmt>(s.loc);
-    }
-    assert(false && "unreachable");
-    return nullptr;
-}
-
 } // namespace svlc::ast

@@ -324,9 +324,9 @@ struct CompilationUnit {
     std::vector<Module> modules;
 };
 
-/// Deep copy helpers (elaboration re-instantiates module bodies).
+/// Deep copy helpers (a declaration list copies its shared width and
+/// label onto each net).
 ExprPtr clone(const Expr& e);
 LabelPtr clone(const Label& l);
-StmtPtr clone(const Stmt& s);
 
 } // namespace svlc::ast

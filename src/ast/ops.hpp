@@ -1,6 +1,6 @@
 // The operator table: the one definition of SecVerilogLC's unary and
 // binary operators, shared by the AST and the HIR. It fixes each
-// operator's spelling (printer, HIR dump and Verilog emitter) and its
+// operator's spelling (HIR dump and Verilog emitter) and its
 // bit-vector value (constant folding, the simulator and both solver
 // evaluators), so the checker's equations, the simulated hardware and the
 // emitted Verilog cannot disagree on what an operator computes.

@@ -133,7 +133,7 @@ JobResult verify_text(pipeline::Compilation& comp, const JobSpec& spec,
     comp.options().top = spec.top;
     comp.options().check.solver.deadline = deadline;
     comp.options().check.solver.cache = cache;
-    comp.reload_text(text, spec.name);
+    comp.load_text(text, spec.name);
     if (!comp.elaborate()) {
         res.diagnostics = comp.render_diagnostics();
         return finish(JobStatus::Rejected);

@@ -135,13 +135,13 @@ struct BatchReport {
 };
 
 /// The single-job verification entry shared by the batch driver and the
-/// serve daemon: (re)loads `text` into `comp` — whose options carry the
-/// checker configuration — runs the pipeline, and fills a JobResult with
-/// verdict, per-obligation records, solver stats, diagnostics, and
-/// timings. Installs spec.top, the per-run deadline (spec.timeout_ms,
-/// falling back to `default_timeout_ms`; 0 = unlimited), and `cache`
-/// (may be null) into comp's options before reloading, so a serve
-/// session can call this repeatedly on one hot Compilation.
+/// serve daemon: loads `text` into `comp` — a freshly built Compilation
+/// whose options carry the checker configuration — runs the pipeline,
+/// and fills a JobResult with verdict, per-obligation records, solver
+/// stats, diagnostics, and timings. Installs spec.top, the per-run
+/// deadline (spec.timeout_ms, falling back to `default_timeout_ms`; 0 =
+/// unlimited), and `cache` (may be null) into comp's options before
+/// loading. One Compilation serves one call: its phases run at most once.
 ///
 /// When `store` is non-null, a Secure or Rejected verdict is persisted
 /// under the job fingerprint (set in JobResult::fingerprint), so a later

@@ -1,6 +1,5 @@
 #include "fuzz/oracles.hpp"
 
-#include "ast/printer.hpp"
 #include "driver/driver.hpp"
 #include "fuzz/rng.hpp"
 #include "hunt/hunter.hpp"
@@ -22,7 +21,6 @@ const char* oracle_name(Oracle o) {
     case Oracle::NoCrash: return "no-crash";
     case Oracle::BackendDiff: return "diff";
     case Oracle::Soundness: return "soundness";
-    case Oracle::RoundTrip: return "roundtrip";
     case Oracle::Xform: return "xform";
     case Oracle::Modular: return "modular";
     }
@@ -30,7 +28,7 @@ const char* oracle_name(Oracle o) {
 }
 
 OracleSet OracleSet::all() {
-    return {true, true, true, true, true, true};
+    return {true, true, true, true, true};
 }
 
 bool OracleSet::enabled(Oracle o) const {
@@ -38,7 +36,6 @@ bool OracleSet::enabled(Oracle o) const {
     case Oracle::NoCrash: return no_crash;
     case Oracle::BackendDiff: return backend_diff;
     case Oracle::Soundness: return soundness;
-    case Oracle::RoundTrip: return round_trip;
     case Oracle::Xform: return xform;
     case Oracle::Modular: return modular;
     }
@@ -61,8 +58,6 @@ bool parse_oracle_set(const std::string& text, OracleSet& out) {
             out.backend_diff = true;
         else if (item == "soundness")
             out.soundness = true;
-        else if (item == "roundtrip")
-            out.round_trip = true;
         else if (item == "xform")
             out.xform = true;
         else if (item == "modular")
@@ -296,46 +291,6 @@ std::optional<Finding> run_soundness(const std::string& source,
     return std::nullopt;
 }
 
-std::optional<Finding> run_round_trip(const std::string& source,
-                                      const OracleConfig& cfg) {
-    (void)cfg;
-    SourceManager sm;
-    DiagnosticEngine diags(&sm);
-    ast::CompilationUnit unit =
-        Parser::parse_text(source, sm, diags, "fuzz.svlc");
-    if (diags.has_errors())
-        return std::nullopt; // round-trip only claimed for parseable input
-    std::string printed = ast::print(unit);
-    SourceManager sm2;
-    DiagnosticEngine diags2(&sm2);
-    ast::CompilationUnit unit2 =
-        Parser::parse_text(printed, sm2, diags2, "printed.svlc");
-    if (diags2.has_errors())
-        return Finding{Oracle::RoundTrip,
-                       "printer output fails to reparse: " + diags2.render()};
-    std::string printed2 = ast::print(unit2);
-    if (printed != printed2) {
-        // Locate the first differing line for the report.
-        std::stringstream a(printed), b(printed2);
-        std::string la, lb;
-        size_t lineno = 0;
-        while (true) {
-            ++lineno;
-            bool ga = static_cast<bool>(std::getline(a, la));
-            bool gb = static_cast<bool>(std::getline(b, lb));
-            if (!ga && !gb)
-                break;
-            if (!ga || !gb || la != lb)
-                return Finding{Oracle::RoundTrip,
-                               "print/reparse/print not a fixpoint at line " +
-                                   std::to_string(lineno) + ": \"" + la +
-                                   "\" vs \"" + lb + "\""};
-        }
-        return Finding{Oracle::RoundTrip, "print/reparse/print differs"};
-    }
-    return std::nullopt;
-}
-
 std::optional<Finding> run_xform(const std::string& source,
                                  const OracleConfig& cfg) {
     pipeline::Compilation ref = make_compilation(source, cfg);
@@ -414,7 +369,6 @@ std::optional<Finding> run_oracle(Oracle o, const std::string& source,
         case Oracle::NoCrash: return run_no_crash(source, cfg);
         case Oracle::BackendDiff: return run_backend_diff(source, cfg);
         case Oracle::Soundness: return run_soundness(source, cfg);
-        case Oracle::RoundTrip: return run_round_trip(source, cfg);
         case Oracle::Xform: return run_xform(source, cfg);
         case Oracle::Modular: return run_modular(source, cfg);
         }
@@ -430,8 +384,7 @@ std::vector<Finding> run_oracles(const OracleSet& set,
                                  const std::string& source,
                                  const OracleConfig& cfg) {
     std::vector<Finding> out;
-    for (Oracle o : {Oracle::NoCrash, Oracle::BackendDiff, Oracle::Soundness,
-                     Oracle::RoundTrip, Oracle::Xform, Oracle::Modular}) {
+    for (Oracle o : kAllOracles) {
         if (!set.enabled(o))
             continue;
         if (auto f = run_oracle(o, source, cfg))

@@ -11,8 +11,6 @@
 //   soundness   a checker-accepted program (without downgrades/assumes)
 //               passes the dynamic observational-determinism tester at
 //               every observer level — the paper's central theorem.
-//   roundtrip   ast::print output reparses, and printing the reparse
-//               reproduces the same text (print is a fixpoint).
 //   xform       dynamic clearing either inserts nothing and preserves
 //               cycle-accurate traces or yields a well-formed, simulable
 //               design.
@@ -35,21 +33,23 @@ enum class Oracle {
     NoCrash,
     BackendDiff,
     Soundness,
-    RoundTrip,
     Xform,
     Modular
 };
 
+/// Every oracle, in the order run_oracles runs them.
+inline constexpr Oracle kAllOracles[] = {Oracle::NoCrash, Oracle::BackendDiff,
+                                         Oracle::Soundness, Oracle::Xform,
+                                         Oracle::Modular};
+
 const char* oracle_name(Oracle o);
 
 /// Which oracles to run. Parsed from "all" or a comma-separated subset
-/// of {no-crash, diff (alias backend-diff), soundness, roundtrip, xform,
-/// modular}.
+/// of {no-crash, diff (alias backend-diff), soundness, xform, modular}.
 struct OracleSet {
     bool no_crash = false;
     bool backend_diff = false;
     bool soundness = false;
-    bool round_trip = false;
     bool xform = false;
     bool modular = false;
 

@@ -106,7 +106,7 @@ FuzzStats run_fuzz(const FuzzOptions& opts, std::FILE* out) {
         OracleSet set = opts.oracles;
         if (parse_only) {
             // Ill-formed bytes carry no verification/simulation claims;
-            // they exist to stress parsing, recovery, and the printer.
+            // they exist to stress parsing and recovery.
             set.backend_diff = false;
             set.soundness = false;
             set.xform = false;

@@ -23,7 +23,7 @@ struct FuzzOptions {
     /// disables persistence.
     std::string corpus_dir = "fuzz-corpus";
     /// Percent of indices that mutate a generated program into ill-formed
-    /// bytes (exercises parsing/recovery; no-crash and roundtrip only).
+    /// bytes (exercises parsing/recovery; no-crash only).
     uint32_t mutate_percent = 20;
     /// Percent of indices that use hand-shaped pathological inputs.
     uint32_t pathological_percent = 10;

@@ -31,17 +31,6 @@ void Compilation::load_text(std::string text, std::string name) {
     loaded_ = true;
 }
 
-void Compilation::reload_text(std::string text, std::string name) {
-    design_.reset();
-    check_result_ = {};
-    sm_ = SourceManager();
-    diags_ = DiagnosticEngine(&sm_);
-    loaded_ = false;
-    elaborated_ = false;
-    checked_ = false;
-    load_text(std::move(text), std::move(name));
-}
-
 const hir::Design* Compilation::elaborate() {
     if (!elaborated_) {
         elaborated_ = true;

@@ -49,13 +49,6 @@ public:
     /// Uses `text` directly; `name` labels the buffer in diagnostics.
     void load_text(std::string text, std::string name = "<input>");
 
-    /// Replaces the buffer and discards every phase output (sources,
-    /// diagnostics, design, check result) while keeping the configured
-    /// options — the serve daemon's edit–recheck entry point, so a
-    /// session reuses one Compilation across edits instead of
-    /// reconstructing it per request.
-    void reload_text(std::string text, std::string name = "<input>");
-
     /// parse → elaborate → well-formedness. Returns the design, or
     /// nullptr when any phase failed (diagnostics explain why). Runs at
     /// most once; later calls return the cached outcome.
@@ -72,8 +65,8 @@ public:
 
     [[nodiscard]] const CompilationOptions& options() const { return opts_; }
     /// Mutable options, for callers that adjust per-run solver state
-    /// (deadline, shared entailment cache) before (re)loading. Changes
-    /// only affect phases that have not run yet.
+    /// (deadline, shared entailment cache) before loading. Changes only
+    /// affect phases that have not run yet.
     [[nodiscard]] CompilationOptions& options() { return opts_; }
     [[nodiscard]] const SourceManager& sources() const { return sm_; }
     [[nodiscard]] const DiagnosticEngine& diags() const { return diags_; }

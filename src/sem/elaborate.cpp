@@ -66,13 +66,10 @@ private:
     hir::LValue lower_lvalue(const ast::LValue& lv, Scope& scope,
                              ProcessKind ctx, uint32_t* target_width);
 
-    uint32_t next_node_id() { return node_counter_++; }
-
     const ast::CompilationUnit& unit_;
     DiagnosticEngine& diags_;
     ElaborateOptions opts_;
     std::unique_ptr<Design> design_;
-    uint32_t node_counter_ = 1;
 };
 
 std::unique_ptr<Design> Elaborator::run() {
@@ -713,7 +710,6 @@ StmtPtr Elaborator::lower_stmt(const ast::Stmt& s, Scope& scope,
         auto out = std::make_unique<Stmt>();
         out->kind = StmtKind::Block;
         out->loc = b.loc;
-        out->node_id = next_node_id();
         for (const auto& st : b.stmts)
             out->stmts.push_back(lower_stmt(*st, scope, ctx));
         return out;
@@ -723,7 +719,6 @@ StmtPtr Elaborator::lower_stmt(const ast::Stmt& s, Scope& scope,
         auto out = std::make_unique<Stmt>();
         out->kind = StmtKind::If;
         out->loc = i.loc;
-        out->node_id = next_node_id();
         out->cond = lower_expr(*i.cond, scope);
         out->then_stmt = lower_stmt(*i.then_stmt, scope, ctx);
         if (i.else_stmt)
@@ -759,7 +754,6 @@ StmtPtr Elaborator::lower_stmt(const ast::Stmt& s, Scope& scope,
             auto node = std::make_unique<Stmt>();
             node->kind = StmtKind::If;
             node->loc = it->body->loc;
-            node->node_id = next_node_id();
             node->cond = std::move(match);
             node->then_stmt = lower_stmt(*it->body, scope, ctx);
             node->else_stmt = std::move(chain);
@@ -769,7 +763,6 @@ StmtPtr Elaborator::lower_stmt(const ast::Stmt& s, Scope& scope,
             auto empty = std::make_unique<Stmt>();
             empty->kind = StmtKind::Block;
             empty->loc = c.loc;
-            empty->node_id = next_node_id();
             return empty;
         }
         return chain;
@@ -787,7 +780,6 @@ StmtPtr Elaborator::lower_stmt(const ast::Stmt& s, Scope& scope,
         auto out = std::make_unique<Stmt>();
         out->kind = StmtKind::Assign;
         out->loc = a.loc;
-        out->node_id = next_node_id();
         uint32_t target_width = 1;
         out->lhs = lower_lvalue(a.lhs, scope, ctx, &target_width);
         out->rhs = resize(lower_expr(*a.rhs, scope), target_width);
@@ -798,7 +790,6 @@ StmtPtr Elaborator::lower_stmt(const ast::Stmt& s, Scope& scope,
         auto out = std::make_unique<Stmt>();
         out->kind = StmtKind::Assume;
         out->loc = a.loc;
-        out->node_id = next_node_id();
         out->pred = lower_expr(*a.pred, scope);
         return out;
     }
@@ -806,7 +797,6 @@ StmtPtr Elaborator::lower_stmt(const ast::Stmt& s, Scope& scope,
         auto out = std::make_unique<Stmt>();
         out->kind = StmtKind::Block;
         out->loc = s.loc;
-        out->node_id = next_node_id();
         return out;
     }
     }
@@ -847,7 +837,6 @@ void Elaborator::elaborate_module(const ast::Module& mod, Scope& scope,
         auto stmt = std::make_unique<Stmt>();
         stmt->kind = StmtKind::Assign;
         stmt->loc = ca.loc;
-        stmt->node_id = next_node_id();
         uint32_t target_width = 1;
         stmt->lhs = lower_lvalue(ca.lhs, scope, ProcessKind::Comb,
                                  &target_width);
@@ -919,7 +908,6 @@ void Elaborator::elaborate_module(const ast::Module& mod, Scope& scope,
                 auto stmt = std::make_unique<Stmt>();
                 stmt->kind = StmtKind::Assign;
                 stmt->loc = conn.loc;
-                stmt->node_id = next_node_id();
                 stmt->lhs.net = port_net;
                 stmt->lhs.loc = conn.loc;
                 stmt->rhs = resize(lower_expr(*conn.expr, scope), port_width);
@@ -947,7 +935,6 @@ void Elaborator::elaborate_module(const ast::Module& mod, Scope& scope,
                 auto stmt = std::make_unique<Stmt>();
                 stmt->kind = StmtKind::Assign;
                 stmt->loc = conn.loc;
-                stmt->node_id = next_node_id();
                 stmt->lhs.net = pit->second;
                 stmt->lhs.loc = conn.loc;
                 stmt->rhs = resize(

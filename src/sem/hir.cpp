@@ -211,38 +211,6 @@ std::string to_string(const Expr& e, const Design& design) {
     return os.str();
 }
 
-LValue LValue::clone() const {
-    LValue lv;
-    lv.net = net;
-    lv.index = index ? index->clone() : nullptr;
-    lv.has_range = has_range;
-    lv.msb = msb;
-    lv.lsb = lsb;
-    lv.loc = loc;
-    return lv;
-}
-
-StmtPtr Stmt::clone() const {
-    auto s = std::make_unique<Stmt>();
-    s->kind = kind;
-    s->loc = loc;
-    s->node_id = node_id;
-    for (const auto& st : stmts)
-        s->stmts.push_back(st->clone());
-    if (cond)
-        s->cond = cond->clone();
-    if (then_stmt)
-        s->then_stmt = then_stmt->clone();
-    if (else_stmt)
-        s->else_stmt = else_stmt->clone();
-    s->lhs = lhs.clone();
-    if (rhs)
-        s->rhs = rhs->clone();
-    if (pred)
-        s->pred = pred->clone();
-    return s;
-}
-
 NetId Design::find_net(std::string_view name) const {
     auto it = net_by_name.find(std::string(name));
     return it != net_by_name.end() ? it->second : kInvalidNet;

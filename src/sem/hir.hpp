@@ -150,16 +150,11 @@ struct LValue {
     bool has_range = false;
     uint32_t msb = 0, lsb = 0;
     SourceLoc loc;
-
-    [[nodiscard]] LValue clone() const;
 };
 
 struct Stmt {
     StmtKind kind;
     SourceLoc loc;
-    /// Unique CFG-node id (η in the typing rules), assigned by
-    /// elaboration; used to index per-site analysis results.
-    uint32_t node_id = 0;
 
     // Block
     std::vector<StmtPtr> stmts;
@@ -172,8 +167,6 @@ struct Stmt {
     ExprPtr rhs;
     // Assume
     ExprPtr pred;
-
-    [[nodiscard]] StmtPtr clone() const;
 };
 
 // ---------------------------------------------------------------------------

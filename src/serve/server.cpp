@@ -1,6 +1,7 @@
 #include "serve/server.hpp"
 
 #include "incr/fingerprint.hpp"
+#include "pipeline/compilation.hpp"
 #include "support/fsutil.hpp"
 
 #include <cerrno>
@@ -105,13 +106,7 @@ struct Server::Session {
     std::string key;
     std::string name;
     std::string top;
-    pipeline::Compilation comp;
     Outcome outcome;
-
-    Session(std::string k, std::string n, std::string t,
-            pipeline::CompilationOptions popts)
-        : key(std::move(k)), name(std::move(n)), top(std::move(t)),
-          comp(std::move(popts)) {}
 };
 
 Server::Server(ServeOptions opts)
@@ -202,17 +197,13 @@ void Server::touch(Session& s) {
 
 Server::Session& Server::obtain_session(const std::string& key,
                                         const std::string& name,
-                                        const std::string& top,
-                                        const check::CheckOptions& copts) {
+                                        const std::string& top) {
     if (Session* s = find_session(key)) {
         touch(*s);
         return *s;
     }
-    pipeline::CompilationOptions popts;
-    popts.top = top;
-    popts.check = copts;
     sessions_.push_front(
-        std::make_unique<Session>(key, name, top, std::move(popts)));
+        std::make_unique<Session>(Session{key, name, top, Outcome()}));
     while (sessions_.size() > opts_.max_sessions && sessions_.size() > 1) {
         sessions_.pop_back();
         ++stats_.sessions_evicted;
@@ -368,13 +359,14 @@ bool Server::do_verify(const JsonValue& params, Conn& push_to,
     key += incr::check_options_fingerprint(copts);
     std::string fp = incr::job_fingerprint(name, source, top, copts);
 
-    Session& session = obtain_session(key, name, top, copts);
-    Outcome& out = session.outcome;
+    Outcome& out = obtain_session(key, name, top).outcome;
     bool hit = out.valid && out.fingerprint == fp &&
                (out.status == "secure" || out.status == "rejected");
     if (!hit) {
         ++stats_.verifies;
-        session.comp.options().check = copts;
+        pipeline::CompilationOptions popts;
+        popts.check = copts;
+        pipeline::Compilation comp(std::move(popts));
         driver::JobSpec spec;
         spec.name = name;
         spec.top = top;
@@ -383,10 +375,9 @@ bool Server::do_verify(const JsonValue& params, Conn& push_to,
         // fingerprint a batch run computes, so a later cold
         // `svlc batch --store` warm-skips jobs this daemon already decided.
         driver::JobResult res =
-            driver::verify_text(session.comp, spec, source,
-                                opts_.default_timeout_ms, &cache_,
-                                store_.get());
-        const check::CheckResult* cres = session.comp.check();
+            driver::verify_text(comp, spec, source, opts_.default_timeout_ms,
+                                &cache_, store_.get());
+        const check::CheckResult* cres = comp.check();
         out = Outcome();
         out.valid = true;
         out.status = outcome_status(res.status, cres != nullptr);
@@ -395,13 +386,11 @@ bool Server::do_verify(const JsonValue& params, Conn& push_to,
         out.obligations = res.obligations;
         out.failed = res.failed;
         out.downgrades = res.downgrades;
-        out.lsp = lsp_diagnostics(session.comp.diags());
+        out.lsp = lsp_diagnostics(comp.diags());
         if (cres)
-            out.report =
-                pipeline::check_report_json(session.comp, *cres, name);
+            out.report = pipeline::check_report_json(comp, *cres, name);
     } else {
         ++stats_.session_hits;
-        touch(session);
     }
 
     // Push every diagnostic to the requester before the response,

@@ -7,13 +7,15 @@
 //   * the persistent incr::ArtifactStore (verdicts written at verify
 //     time, so a later cold `svlc batch --store` warm-skips unchanged
 //     jobs),
-//   * a server-wide LRU table of sessions, each owning an elaborated
-//     pipeline::Compilation plus the rendered outcome of its last
-//     verify, keyed by (buffer name, top, checker options).
+//   * a server-wide LRU table of sessions, each holding only the
+//     rendered outcome of its last verify, keyed by (buffer name, top,
+//     checker options).
 //
 // A verify of an unchanged job — same key, same job fingerprint — is a
 // session hit: the response replays the cached outcome with zero
-// re-elaboration and zero solver calls. The table is server-wide rather
+// re-elaboration and zero solver calls. A miss checks the buffer in a
+// fresh pipeline::Compilation and keeps only its outcome, so no design
+// or check result outlives the request. The table is server-wide rather
 // than per-connection, so an editor that reconnects (or a second client
 // on the same buffer) still hits it.
 //
@@ -26,7 +28,6 @@
 #include "check/typecheck.hpp"
 #include "driver/driver.hpp"
 #include "incr/store.hpp"
-#include "pipeline/compilation.hpp"
 #include "serve/protocol.hpp"
 #include "solver/entail_cache.hpp"
 #include "support/net.hpp"
@@ -44,7 +45,7 @@ struct ServeOptions {
     /// persistence.
     std::string store_dir;
     /// Sessions kept hot; beyond this the least recently used session
-    /// (Compilation and cached outcome) is evicted.
+    /// (its cached outcome) is evicted.
     size_t max_sessions = 16;
     /// Exit after this many seconds without a request; 0 = never.
     uint64_t idle_timeout_sec = 0;
@@ -73,14 +74,14 @@ public:
     explicit Server(ServeOptions opts);
     ~Server();
 
-    /// Binds the socket (reclaiming a stale one, refusing a live one),
-    /// opens the store, and preloads the entailment cache. False with
-    /// `error` set on any failure; no partial state is left behind.
+    /// Binds the socket (reclaiming a stale one, refusing a live one)
+    /// and opens the store. False with `error` set on any failure; no
+    /// partial state is left behind.
     bool start(std::string& error);
 
     /// Serves until shutdown (request, signal, idle timeout, or
-    /// request_stop). Flushes the entailment cache to the store and
-    /// unlinks the socket before returning. Returns a process exit code.
+    /// request_stop). Unlinks the socket before returning. Returns a
+    /// process exit code.
     int run();
 
     /// Thread-safe, async-signal-safe stop request; wakes the loop.
@@ -106,8 +107,7 @@ private:
 
     Session* find_session(const std::string& key);
     Session& obtain_session(const std::string& key, const std::string& name,
-                            const std::string& top,
-                            const check::CheckOptions& copts);
+                            const std::string& top);
     void touch(Session& s);
 
     ServeOptions opts_;
@@ -118,7 +118,6 @@ private:
     /// LRU order: front = most recently used.
     std::list<std::unique_ptr<Session>> sessions_;
     ServeStats stats_;
-    uint64_t lru_tick_ = 0;
     int wake_pipe_[2] = {-1, -1};
     bool stop_ = false;
     bool started_ = false;

@@ -2,12 +2,6 @@
 
 #include <cstring>
 
-#if defined(__x86_64__) && defined(__GNUC__)
-#define SVLC_SHA_NI_DISPATCH 1
-#include <cpuid.h>
-#include <immintrin.h>
-#endif
-
 namespace svlc {
 
 namespace {
@@ -28,223 +22,6 @@ constexpr uint32_t kK[64] = {
 inline uint32_t rotr(uint32_t x, int n) {
     return (x >> n) | (x << (32 - n));
 }
-
-#ifdef SVLC_SHA_NI_DISPATCH
-
-bool cpu_has_sha_ni() {
-    unsigned a = 0, b = 0, c = 0, d = 0;
-    if (!__get_cpuid_count(7, 0, &a, &b, &c, &d))
-        return false;
-    return (b >> 29) & 1; // EBX bit 29: SHA extensions
-}
-
-/// Fingerprint hashing dominates the warm obligation-replay path, so the
-/// bulk (whole-block) loop uses the SHA-NI instructions when the CPU has
-/// them. Standard two-lane schedule: state is carried as ABEF/CDGH pairs
-/// and each _mm_sha256rnds2 step retires two rounds, with the round
-/// constants folded into the message additions.
-__attribute__((target("sha,sse4.1"))) void
-compress_blocks_shani(uint32_t state[8], const uint8_t* data,
-                      size_t nblocks) {
-    const __m128i kShuffle =
-        _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
-
-    __m128i tmp = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
-    __m128i st1 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
-    tmp = _mm_shuffle_epi32(tmp, 0xB1); // CDAB
-    st1 = _mm_shuffle_epi32(st1, 0x1B); // EFGH
-    __m128i st0 = _mm_alignr_epi8(tmp, st1, 8);    // ABEF
-    st1 = _mm_blend_epi16(st1, tmp, 0xF0);         // CDGH
-
-    while (nblocks--) {
-        __m128i abef_save = st0;
-        __m128i cdgh_save = st1;
-        __m128i msg, msg0, msg1, msg2, msg3;
-
-        // Rounds 0-3
-        msg = _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 0));
-        msg0 = _mm_shuffle_epi8(msg, kShuffle);
-        msg = _mm_add_epi32(msg0, _mm_set_epi64x(0xE9B5DBA5B5C0FBCFULL,
-                                                 0x71374491428A2F98ULL));
-        st1 = _mm_sha256rnds2_epu32(st1, st0, msg);
-        msg = _mm_shuffle_epi32(msg, 0x0E);
-        st0 = _mm_sha256rnds2_epu32(st0, st1, msg);
-
-        // Rounds 4-7
-        msg1 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16));
-        msg1 = _mm_shuffle_epi8(msg1, kShuffle);
-        msg = _mm_add_epi32(msg1, _mm_set_epi64x(0xAB1C5ED5923F82A4ULL,
-                                                 0x59F111F13956C25BULL));
-        st1 = _mm_sha256rnds2_epu32(st1, st0, msg);
-        msg = _mm_shuffle_epi32(msg, 0x0E);
-        st0 = _mm_sha256rnds2_epu32(st0, st1, msg);
-        msg0 = _mm_sha256msg1_epu32(msg0, msg1);
-
-        // Rounds 8-11
-        msg2 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 32));
-        msg2 = _mm_shuffle_epi8(msg2, kShuffle);
-        msg = _mm_add_epi32(msg2, _mm_set_epi64x(0x550C7DC3243185BEULL,
-                                                 0x12835B01D807AA98ULL));
-        st1 = _mm_sha256rnds2_epu32(st1, st0, msg);
-        msg = _mm_shuffle_epi32(msg, 0x0E);
-        st0 = _mm_sha256rnds2_epu32(st0, st1, msg);
-        msg1 = _mm_sha256msg1_epu32(msg1, msg2);
-
-        // Rounds 12-15
-        msg3 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 48));
-        msg3 = _mm_shuffle_epi8(msg3, kShuffle);
-        msg = _mm_add_epi32(msg3, _mm_set_epi64x(0xC19BF17480DEB1FEULL,
-                                                 0x9BDC06A772BE5D74ULL));
-        st1 = _mm_sha256rnds2_epu32(st1, st0, msg);
-        tmp = _mm_alignr_epi8(msg3, msg2, 4);
-        msg0 = _mm_add_epi32(msg0, tmp);
-        msg0 = _mm_sha256msg2_epu32(msg0, msg3);
-        msg = _mm_shuffle_epi32(msg, 0x0E);
-        st0 = _mm_sha256rnds2_epu32(st0, st1, msg);
-        msg2 = _mm_sha256msg1_epu32(msg2, msg3);
-
-        // Rounds 16-19
-        msg = _mm_add_epi32(msg0, _mm_set_epi64x(0x240CA1CC0FC19DC6ULL,
-                                                 0xEFBE4786E49B69C1ULL));
-        st1 = _mm_sha256rnds2_epu32(st1, st0, msg);
-        tmp = _mm_alignr_epi8(msg0, msg3, 4);
-        msg1 = _mm_add_epi32(msg1, tmp);
-        msg1 = _mm_sha256msg2_epu32(msg1, msg0);
-        msg = _mm_shuffle_epi32(msg, 0x0E);
-        st0 = _mm_sha256rnds2_epu32(st0, st1, msg);
-        msg3 = _mm_sha256msg1_epu32(msg3, msg0);
-
-        // Rounds 20-23
-        msg = _mm_add_epi32(msg1, _mm_set_epi64x(0x76F988DA5CB0A9DCULL,
-                                                 0x4A7484AA2DE92C6FULL));
-        st1 = _mm_sha256rnds2_epu32(st1, st0, msg);
-        tmp = _mm_alignr_epi8(msg1, msg0, 4);
-        msg2 = _mm_add_epi32(msg2, tmp);
-        msg2 = _mm_sha256msg2_epu32(msg2, msg1);
-        msg = _mm_shuffle_epi32(msg, 0x0E);
-        st0 = _mm_sha256rnds2_epu32(st0, st1, msg);
-        msg0 = _mm_sha256msg1_epu32(msg0, msg1);
-
-        // Rounds 24-27
-        msg = _mm_add_epi32(msg2, _mm_set_epi64x(0xBF597FC7B00327C8ULL,
-                                                 0xA831C66D983E5152ULL));
-        st1 = _mm_sha256rnds2_epu32(st1, st0, msg);
-        tmp = _mm_alignr_epi8(msg2, msg1, 4);
-        msg3 = _mm_add_epi32(msg3, tmp);
-        msg3 = _mm_sha256msg2_epu32(msg3, msg2);
-        msg = _mm_shuffle_epi32(msg, 0x0E);
-        st0 = _mm_sha256rnds2_epu32(st0, st1, msg);
-        msg1 = _mm_sha256msg1_epu32(msg1, msg2);
-
-        // Rounds 28-31
-        msg = _mm_add_epi32(msg3, _mm_set_epi64x(0x1429296706CA6351ULL,
-                                                 0xD5A79147C6E00BF3ULL));
-        st1 = _mm_sha256rnds2_epu32(st1, st0, msg);
-        tmp = _mm_alignr_epi8(msg3, msg2, 4);
-        msg0 = _mm_add_epi32(msg0, tmp);
-        msg0 = _mm_sha256msg2_epu32(msg0, msg3);
-        msg = _mm_shuffle_epi32(msg, 0x0E);
-        st0 = _mm_sha256rnds2_epu32(st0, st1, msg);
-        msg2 = _mm_sha256msg1_epu32(msg2, msg3);
-
-        // Rounds 32-35
-        msg = _mm_add_epi32(msg0, _mm_set_epi64x(0x53380D134D2C6DFCULL,
-                                                 0x2E1B213827B70A85ULL));
-        st1 = _mm_sha256rnds2_epu32(st1, st0, msg);
-        tmp = _mm_alignr_epi8(msg0, msg3, 4);
-        msg1 = _mm_add_epi32(msg1, tmp);
-        msg1 = _mm_sha256msg2_epu32(msg1, msg0);
-        msg = _mm_shuffle_epi32(msg, 0x0E);
-        st0 = _mm_sha256rnds2_epu32(st0, st1, msg);
-        msg3 = _mm_sha256msg1_epu32(msg3, msg0);
-
-        // Rounds 36-39
-        msg = _mm_add_epi32(msg1, _mm_set_epi64x(0x92722C8581C2C92EULL,
-                                                 0x766A0ABB650A7354ULL));
-        st1 = _mm_sha256rnds2_epu32(st1, st0, msg);
-        tmp = _mm_alignr_epi8(msg1, msg0, 4);
-        msg2 = _mm_add_epi32(msg2, tmp);
-        msg2 = _mm_sha256msg2_epu32(msg2, msg1);
-        msg = _mm_shuffle_epi32(msg, 0x0E);
-        st0 = _mm_sha256rnds2_epu32(st0, st1, msg);
-        msg0 = _mm_sha256msg1_epu32(msg0, msg1);
-
-        // Rounds 40-43
-        msg = _mm_add_epi32(msg2, _mm_set_epi64x(0xC76C51A3C24B8B70ULL,
-                                                 0xA81A664BA2BFE8A1ULL));
-        st1 = _mm_sha256rnds2_epu32(st1, st0, msg);
-        tmp = _mm_alignr_epi8(msg2, msg1, 4);
-        msg3 = _mm_add_epi32(msg3, tmp);
-        msg3 = _mm_sha256msg2_epu32(msg3, msg2);
-        msg = _mm_shuffle_epi32(msg, 0x0E);
-        st0 = _mm_sha256rnds2_epu32(st0, st1, msg);
-        msg1 = _mm_sha256msg1_epu32(msg1, msg2);
-
-        // Rounds 44-47
-        msg = _mm_add_epi32(msg3, _mm_set_epi64x(0x106AA070F40E3585ULL,
-                                                 0xD6990624D192E819ULL));
-        st1 = _mm_sha256rnds2_epu32(st1, st0, msg);
-        tmp = _mm_alignr_epi8(msg3, msg2, 4);
-        msg0 = _mm_add_epi32(msg0, tmp);
-        msg0 = _mm_sha256msg2_epu32(msg0, msg3);
-        msg = _mm_shuffle_epi32(msg, 0x0E);
-        st0 = _mm_sha256rnds2_epu32(st0, st1, msg);
-        msg2 = _mm_sha256msg1_epu32(msg2, msg3);
-
-        // Rounds 48-51
-        msg = _mm_add_epi32(msg0, _mm_set_epi64x(0x34B0BCB52748774CULL,
-                                                 0x1E376C0819A4C116ULL));
-        st1 = _mm_sha256rnds2_epu32(st1, st0, msg);
-        tmp = _mm_alignr_epi8(msg0, msg3, 4);
-        msg1 = _mm_add_epi32(msg1, tmp);
-        msg1 = _mm_sha256msg2_epu32(msg1, msg0);
-        msg = _mm_shuffle_epi32(msg, 0x0E);
-        st0 = _mm_sha256rnds2_epu32(st0, st1, msg);
-        msg3 = _mm_sha256msg1_epu32(msg3, msg0);
-
-        // Rounds 52-55
-        msg = _mm_add_epi32(msg1, _mm_set_epi64x(0x682E6FF35B9CCA4FULL,
-                                                 0x4ED8AA4A391C0CB3ULL));
-        st1 = _mm_sha256rnds2_epu32(st1, st0, msg);
-        tmp = _mm_alignr_epi8(msg1, msg0, 4);
-        msg2 = _mm_add_epi32(msg2, tmp);
-        msg2 = _mm_sha256msg2_epu32(msg2, msg1);
-        msg = _mm_shuffle_epi32(msg, 0x0E);
-        st0 = _mm_sha256rnds2_epu32(st0, st1, msg);
-
-        // Rounds 56-59
-        msg = _mm_add_epi32(msg2, _mm_set_epi64x(0x8CC7020884C87814ULL,
-                                                 0x78A5636F748F82EEULL));
-        st1 = _mm_sha256rnds2_epu32(st1, st0, msg);
-        tmp = _mm_alignr_epi8(msg2, msg1, 4);
-        msg3 = _mm_add_epi32(msg3, tmp);
-        msg3 = _mm_sha256msg2_epu32(msg3, msg2);
-        msg = _mm_shuffle_epi32(msg, 0x0E);
-        st0 = _mm_sha256rnds2_epu32(st0, st1, msg);
-
-        // Rounds 60-63
-        msg = _mm_add_epi32(msg3, _mm_set_epi64x(0xC67178F2BEF9A3F7ULL,
-                                                 0xA4506CEB90BEFFFAULL));
-        st1 = _mm_sha256rnds2_epu32(st1, st0, msg);
-        msg = _mm_shuffle_epi32(msg, 0x0E);
-        st0 = _mm_sha256rnds2_epu32(st0, st1, msg);
-
-        st0 = _mm_add_epi32(st0, abef_save);
-        st1 = _mm_add_epi32(st1, cdgh_save);
-        data += 64;
-    }
-
-    tmp = _mm_shuffle_epi32(st0, 0x1B); // FEBA
-    st1 = _mm_shuffle_epi32(st1, 0xB1); // DCHG
-    st0 = _mm_blend_epi16(tmp, st1, 0xF0);  // DCBA
-    st1 = _mm_alignr_epi8(st1, tmp, 8);     // HGFE
-
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(state), st0);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), st1);
-}
-
-#endif // SVLC_SHA_NI_DISPATCH
 
 } // namespace
 
@@ -300,18 +77,6 @@ void Sha256::compress(const uint8_t* block) {
     state_[7] += h;
 }
 
-void Sha256::compress_blocks(const uint8_t* p, size_t nblocks) {
-#ifdef SVLC_SHA_NI_DISPATCH
-    static const bool sha_ni = cpu_has_sha_ni();
-    if (sha_ni) {
-        compress_blocks_shani(state_, p, nblocks);
-        return;
-    }
-#endif
-    for (; nblocks; --nblocks, p += 64)
-        compress(p);
-}
-
 void Sha256::update(const void* data, size_t len) {
     const uint8_t* p = static_cast<const uint8_t*>(data);
     length_ += len;
@@ -322,15 +87,12 @@ void Sha256::update(const void* data, size_t len) {
         p += take;
         len -= take;
         if (buffered_ == sizeof buffer_) {
-            compress_blocks(buffer_, 1);
+            compress(buffer_);
             buffered_ = 0;
         }
     }
-    if (len >= 64) {
-        compress_blocks(p, len / 64);
-        p += len & ~size_t(63);
-        len &= 63;
-    }
+    for (; len >= 64; p += 64, len -= 64)
+        compress(p);
     if (len) {
         std::memcpy(buffer_, p, len);
         buffered_ = len;

@@ -28,7 +28,6 @@ public:
 
 private:
     void compress(const uint8_t* block);
-    void compress_blocks(const uint8_t* p, size_t nblocks);
 
     uint32_t state_[8];
     uint64_t length_ = 0; // total bytes fed in

@@ -102,6 +102,26 @@ TEST(Cli, AcceptedFlagsStillParse) {
     EXPECT_EQ(hex.status, 0) << hex.output;
 }
 
+TEST(Cli, UnknownOracleHintNamesEveryOracle) {
+    // `roundtrip` is not an oracle; the hint lists the ones that are.
+    CliRun fuzz = svlc("fuzz --oracle roundtrip --count 1");
+    EXPECT_EQ(fuzz.status, 2) << fuzz.output;
+    EXPECT_NE(fuzz.output.find("fuzz: unknown oracle set 'roundtrip' "
+                               "(expected all or a comma list of "
+                               "no-crash,diff,soundness,xform,modular)"),
+              std::string::npos)
+        << fuzz.output;
+    const std::string fig3 =
+        std::string(SVLC_HDL_DIR) + "/fig3_implicit_downgrade.svlc";
+    CliRun reduce = svlc("reduce " + fig3 + " --oracle roundtrip");
+    EXPECT_EQ(reduce.status, 2) << reduce.output;
+    EXPECT_NE(reduce.output.find("reduce: unknown oracle 'roundtrip' "
+                                 "(expected diag:CODE, all or a comma list "
+                                 "of no-crash,diff,soundness,xform,modular)"),
+              std::string::npos)
+        << reduce.output;
+}
+
 TEST(Cli, TaintListsTenViolationsThenCountsTheRest) {
     // A secret input copied into a public register every cycle: one
     // violation per cycle, twelve in all.

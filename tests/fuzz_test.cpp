@@ -96,17 +96,18 @@ TEST(FuzzOracles, ParseOracleSet) {
     OracleSet set;
     ASSERT_TRUE(parse_oracle_set("all", set));
     EXPECT_TRUE(set.no_crash && set.backend_diff && set.soundness &&
-                set.round_trip && set.xform && set.modular);
+                set.xform && set.modular);
     ASSERT_TRUE(parse_oracle_set("modular", set));
     EXPECT_TRUE(set.modular);
     EXPECT_FALSE(set.no_crash);
-    ASSERT_TRUE(parse_oracle_set("no-crash,roundtrip", set));
+    ASSERT_TRUE(parse_oracle_set("no-crash,xform", set));
     EXPECT_TRUE(set.no_crash);
-    EXPECT_TRUE(set.round_trip);
+    EXPECT_TRUE(set.xform);
     EXPECT_FALSE(set.backend_diff);
     EXPECT_FALSE(set.soundness);
-    EXPECT_FALSE(set.xform);
+    EXPECT_FALSE(set.modular);
     EXPECT_FALSE(parse_oracle_set("bogus", set));
+    EXPECT_FALSE(parse_oracle_set("no-crash,bogus", set));
     EXPECT_FALSE(parse_oracle_set("", set));
 }
 
@@ -160,16 +161,6 @@ TEST(FuzzOracles, ModularProgramsMatchTheFlattenedReference) {
     opts.seed = 3;
     EXPECT_EQ(generate_program(opts).source.find("module child"),
               std::string::npos);
-}
-
-TEST(FuzzOracles, RoundTripCatchesPrinterDrift) {
-    // A program whose reprint differs structurally would be caught; the
-    // shipped printer must be a fixpoint on generated programs.
-    GenOptions opts;
-    opts.seed = 5;
-    GenProgram p = generate_program(opts);
-    OracleConfig cfg;
-    EXPECT_FALSE(run_oracle(Oracle::RoundTrip, p.source, cfg).has_value());
 }
 
 TEST(FuzzOracles, NoCrashSurvivesIllFormedInput) {

@@ -163,12 +163,42 @@ TEST(IncrHash, Sha256KnownVectors) {
     EXPECT_EQ(sha256_hex("abc"),
               "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61"
               "f20015ad");
-    // Multi-block + incremental chunking agree with one-shot.
-    std::string big(1000, 'x');
+    // FIPS 180-4 multi-block vectors: 448 bits, 896 bits, one million 'a'.
+    EXPECT_EQ(sha256_hex("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomn"
+                         "opnopq"),
+              "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd4"
+              "19db06c1");
+    EXPECT_EQ(sha256_hex("abcdefghbcdefghicdefghijdefghijkefghijklfghijklmgh"
+                         "ijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnop"
+                         "qrstnopqrstu"),
+              "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac4503"
+              "7afee9d1");
+    const std::string million(1000000, 'a');
+    const char* million_digest = "cdc76e5c9914fb9281a1c7e284d73e67f1809a48"
+                                 "a497200e046d39ccc7112cd0";
+    EXPECT_EQ(sha256_hex(million), million_digest);
+    // Uneven chunks straddle the 64-byte block boundary every way.
     Sha256 h;
-    h.update(big.substr(0, 7));
-    h.update(big.substr(7));
-    EXPECT_EQ(h.hex_digest(), sha256_hex(big));
+    const size_t chunks[] = {1, 63, 64, 65, 1000};
+    for (size_t at = 0, i = 0; at < million.size(); ++i) {
+        size_t n = std::min(chunks[i % 5], million.size() - at);
+        h.update(million.data() + at, n);
+        at += n;
+    }
+    EXPECT_EQ(h.hex_digest(), million_digest);
+}
+
+TEST(IncrFingerprint, IsSha256OfTheDocumentedRecipe) {
+    // docs/INCREMENTAL.md: SHA-256(tool_version \0 job_name \0 top_module
+    // \0 check_options_fingerprint \0 source_bytes).
+    check::CheckOptions opts;
+    opts.mode = check::CheckerMode::ClassicSecVerilog;
+    std::string recipe = std::string(incr::kToolVersion) + '\0' + "a.svlc" +
+                         '\0' + "top" + '\0' +
+                         incr::check_options_fingerprint(opts) + '\0' +
+                         kSecure;
+    EXPECT_EQ(incr::job_fingerprint("a.svlc", kSecure, "top", opts),
+              sha256_hex(recipe));
 }
 
 TEST(IncrFingerprint, SensitiveToEveryVerdictInput) {

@@ -1,4 +1,3 @@
-#include "ast/printer.hpp"
 #include "parse/parser.hpp"
 #include "support/diagnostics.hpp"
 #include "support/source_manager.hpp"
@@ -208,34 +207,6 @@ endmodule
 
 TEST(Parser, RejectsGarbageAtTopLevel) {
     EXPECT_GE(parse_error_count("garbage tokens here"), 1u);
-}
-
-TEST(Printer, RoundTripsThroughParser) {
-    auto unit = parse_ok(R"(
-lattice { level T; level U; flow T -> U; }
-function f(x:1) { 0 -> T; default -> U; }
-module m(input com {T} rst, output com [7:0] {U} out);
-  reg seq [7:0] {f(mode)} r = 8'h0;
-  reg seq {T} mode;
-  assign out = r;
-  always @(seq) begin
-    if (rst) r <= 8'b0;
-    else r <= endorse(out, T);
-  end
-  always @(seq) begin
-    mode <= ~mode;
-  end
-endmodule
-)");
-    std::string printed = ast::print(unit);
-    SourceManager sm2;
-    DiagnosticEngine diags2(&sm2);
-    auto unit2 = Parser::parse_text(printed, sm2, diags2);
-    EXPECT_FALSE(diags2.has_errors())
-        << diags2.render() << "\nprinted:\n" << printed;
-    EXPECT_EQ(unit2.modules.size(), 1u);
-    // Printing the reparsed tree must be a fixpoint.
-    EXPECT_EQ(ast::print(unit2), printed);
 }
 
 // ---------------------------------------------------------------------------

@@ -830,6 +830,17 @@ int cmd_disasm(const Args& args) {
     return 0;
 }
 
+/// "no-crash,diff,...": every oracle name, for usage-error hints.
+std::string oracle_list() {
+    std::string out;
+    for (fuzz::Oracle o : fuzz::kAllOracles) {
+        if (!out.empty())
+            out += ',';
+        out += fuzz::oracle_name(o);
+    }
+    return out;
+}
+
 int cmd_fuzz(const Args& args) {
     fuzz::FuzzOptions opts;
     opts.seed = args.seed.value_or(1);
@@ -841,9 +852,8 @@ int cmd_fuzz(const Args& args) {
         !fuzz::parse_oracle_set(args.oracle, opts.oracles)) {
         std::fprintf(stderr,
                      "fuzz: unknown oracle set '%s' (expected all or a "
-                     "comma list of no-crash,diff,soundness,roundtrip,"
-                     "xform)\n",
-                     args.oracle.c_str());
+                     "comma list of %s)\n",
+                     args.oracle.c_str(), oracle_list().c_str());
         return 2;
     }
     fuzz::FuzzStats stats = fuzz::run_fuzz(opts, stdout);
@@ -882,7 +892,10 @@ bool reduce_predicate(const Args& args, const std::string& spec,
     }
     fuzz::OracleSet set;
     if (!fuzz::parse_oracle_set(spec, set)) {
-        std::fprintf(stderr, "reduce: unknown oracle '%s'\n", spec.c_str());
+        std::fprintf(stderr,
+                     "reduce: unknown oracle '%s' (expected diag:CODE, all "
+                     "or a comma list of %s)\n",
+                     spec.c_str(), oracle_list().c_str());
         return false;
     }
     fuzz::OracleConfig cfg;
